@@ -75,7 +75,7 @@ def test_bench_symbolic_construction(benchmark, table_report, n):
                 n,
                 model.state_space.size(),
                 result.system.state_count(),
-                model.encoding.bdd.cache_info()["nodes"],
+                model.encoding.bdd.cache_info()["unique.nodes"],
             )
         ],
         header=("children", "state space", "reachable", "BDD nodes"),

@@ -66,8 +66,8 @@ def _muddy_ctlk(n):
     info = model.encoding.bdd.cache_info()
     return {
         "states": result.system.state_count(),
-        "peak_nodes": info["nodes"],
-        "reorders": info["reorder_stats"]["reorders"],
+        "peak_nodes": info["unique.nodes"],
+        "reorders": info["reorder.count"],
     }
 
 
@@ -104,8 +104,8 @@ def _dining_ctlk(n, blocked=False, reorder=False, threshold=2048):
     info = model.encoding.bdd.cache_info()
     return {
         "states": result.system.state_count(),
-        "peak_nodes": info["nodes"],
-        "reorders": info["reorder_stats"]["reorders"],
+        "peak_nodes": info["unique.nodes"],
+        "reorders": info["reorder.count"],
     }
 
 

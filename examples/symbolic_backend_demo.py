@@ -104,7 +104,7 @@ def construction_demo():
     print(f"state space:      {model.state_space.size():.2e} states")
     print(f"reachable states: {result.system.state_count():,}")
     print(f"rounds:           {result.iterations}, verified: {result.verified}")
-    print(f"BDD nodes:        {model.encoding.bdd.cache_info()['nodes']:,}")
+    print(f"BDD nodes:        {model.encoding.bdd.cache_info()['unique.nodes']:,}")
     print(f"wall clock:       {elapsed:.1f} s")
 
     # The protocol is queryable at any concrete local state: the child who

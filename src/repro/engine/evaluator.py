@@ -36,7 +36,6 @@ from repro.logic.formula import (
 from repro import obs as _obs
 from repro import resilience as _res
 from repro.engine.backend import resolve_backend
-from repro.obs.registry import attach_aliases
 from repro.util.errors import FormulaError, ModelError
 
 
@@ -179,8 +178,7 @@ class Evaluator:
         explicit cache drops.  ``backend`` is the backend's own
         per-structure operation-cache report (:meth:`SetBackend.cache_info`
         — the shared BDD apply caches for the ``"bdd"`` backend, empty for
-        backends without operation caches).  The historical ``formulas`` /
-        ``frozensets`` keys remain as aliases for one release.
+        backends without operation caches).
         """
         info = {
             "memo.formulas": len(self.cache),
@@ -191,9 +189,7 @@ class Evaluator:
             "cache.clears": self._cache_clears,
             "backend": self.backend.cache_info(self.structure),
         }
-        return attach_aliases(
-            info, {"memo.formulas": "formulas", "memo.frozensets": "frozensets"}
-        )
+        return info
 
     def clear_cache(self):
         """Drop all memoised extensions, and the backend's recomputable

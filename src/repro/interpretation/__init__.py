@@ -22,6 +22,7 @@ epistemic guards over the system generated by ``P``.  This package provides:
 * :func:`repro.interpretation.iteration.construct_by_rounds` — the
   depth-stratified construction that is sound for programs providing
   epistemic witnesses (in particular synchronous programs);
+  both loops are written once and run over the explicit or the BDD ops;
 * :func:`repro.interpretation.synthesis.enumerate_implementations` (alias
   :func:`~repro.interpretation.synthesis.search`) and
   :func:`repro.interpretation.synthesis.classify_program` — exhaustive
@@ -36,10 +37,10 @@ construction, the fixed-point check and the exhaustive search all run on
 BDDs (:mod:`repro.interpretation.symbolic`) — protocols as per-agent
 ``action -> class BDD`` maps, reachability as relational images,
 behavioural comparison as canonical node-id signatures — at sizes the
-enumerating carriers (:mod:`repro.interpretation.implementation`,
-:mod:`repro.interpretation.search`) cannot touch.  The
-representation-neutral algorithms live in
-:mod:`repro.interpretation.synthesis`.
+enumerating carrier (:mod:`repro.interpretation.explicit`) cannot touch.
+The representation-neutral algorithms live in
+:mod:`repro.interpretation.iteration` (construction and iteration) and
+:mod:`repro.interpretation.synthesis` (the fixed-point test and search).
 """
 
 from repro.interpretation.functional import (
@@ -71,22 +72,9 @@ from repro.interpretation.conditions import (
     depends_on_past,
     sufficient_conditions_report,
 )
-from repro.interpretation.symbolic import (
-    construct_by_rounds_symbolic,
-    iterate_interpretation_symbolic,
-    check_implementation_symbolic,
-    enumerate_implementations_symbolic,
-    derive_protocol_symbolic,
-    SymbolicImplementationReport,
-    SymbolicSystem,
-)
+from repro.interpretation.symbolic import SymbolicImplementationReport, SymbolicSystem
 
 __all__ = [
-    "construct_by_rounds_symbolic",
-    "iterate_interpretation_symbolic",
-    "check_implementation_symbolic",
-    "enumerate_implementations_symbolic",
-    "derive_protocol_symbolic",
     "SymbolicImplementationReport",
     "SymbolicSystem",
     "derive_protocol",

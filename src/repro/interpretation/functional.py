@@ -28,6 +28,7 @@ for views without a persistent evaluator).
 from repro import obs as _obs
 from repro.engine import evaluator_for, local_guard_value
 from repro.kripke.builders import structure_from_local_states
+from repro.symbolic.bdd import TRUE
 from repro.systems.actions import NOOP_NAME
 from repro.systems.context import LocalStateIndexMixin
 from repro.systems.protocols import JointProtocol, Protocol
@@ -282,13 +283,63 @@ class GuardTable:
         )
 
 
+def _fallback_set(program, agent):
+    """The action set ``agent`` performs where its protocol decides
+    nothing: the program's fallback, or the no-op for an agent without a
+    program or without a fallback."""
+    try:
+        fallback = program.program(agent).fallback
+    except ProgramError:
+        fallback = NOOP_NAME
+    return frozenset({fallback if fallback is not None else NOOP_NAME})
+
+
+def _mentioned_actions(program, agent):
+    try:
+        actions = frozenset(program.program(agent).actions())
+    except ProgramError:
+        actions = frozenset()
+    return actions or frozenset({NOOP_NAME})
+
+
+def _uniform_protocol(program, context, actions_of):
+    """A joint protocol performing ``actions_of(program, agent)`` at every
+    local state.  It also carries that behaviour as class BDDs
+    (``selection_nodes``, every action over the constant-true class set), so
+    the symbolic carrier can seed from it or check it without enumerating
+    a local state."""
+    protocols = {}
+    nodes = {}
+    for agent in context.agents:
+        actions = actions_of(program, agent)
+        protocols[agent] = Protocol(agent, lambda local_state, acts=actions: acts)
+        nodes[agent] = tuple(sorted((str(action), TRUE) for action in actions))
+    joint = JointProtocol(protocols)
+    joint.selection_nodes = nodes
+    return joint
+
+
+def liberal_protocol(program, context):
+    """The seed protocol that allows, at every local state, *all* actions the
+    agent's program ever mentions (over-approximating every implementation's
+    behaviour, analogous to starting from "all states reachable")."""
+    return _uniform_protocol(program, context, _mentioned_actions)
+
+
+def restrictive_protocol(program, context):
+    """The seed protocol that performs only the fallback action everywhere
+    (under-approximating behaviour, analogous to starting from "nothing
+    reachable beyond the initial states")."""
+    return _uniform_protocol(program, context, _fallback_set)
+
+
 def guard_table(view, program):
     """Return the (memoised) :class:`GuardTable` of ``program`` over ``view``.
 
     One table is kept per (view, program identity) pair on the view, so
     repeated functional applications against the same view — the inner loop
     of :func:`derive_protocol`, :func:`repro.interpretation.iteration.construct_by_rounds`
-    and :func:`repro.interpretation.search.enumerate_implementations` — share
+    and :func:`repro.interpretation.synthesis.enumerate_implementations` — share
     one batched guard evaluation.
 
     A view may provide its own table implementation through a

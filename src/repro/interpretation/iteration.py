@@ -1,13 +1,8 @@
-"""Iterative interpretation of knowledge-based programs.
+"""The two fixed-point loops of knowledge-based program interpretation.
 
-Two procedures are provided.
-
-``iterate_interpretation``
-    Repeatedly applies the functional ``P_{k+1} = Pg^{I_rep(P_k, gamma)}``
-    from a seed protocol until a fixed point is found or a cycle of protocols
-    recurs.  Because the functional is not monotone the iteration need not
-    converge; the paper's variable-setting example oscillates with period 2,
-    which the procedure detects and reports.
+An implementation is a fixed point ``P = Pg^{I_rep(P)}``; the paper's
+definition says nothing about how states are represented, and neither do
+the two algorithms here that look for one:
 
 ``construct_by_rounds``
     The depth-stratified construction: reachable states are built round by
@@ -16,33 +11,38 @@ Two procedures are provided.
     epistemic witnesses (in particular, for synchronous programs) the guard
     values computed this way agree with their values in the final system, so
     the construction yields the unique implementation.  The result is
-    verified a posteriori with :func:`repro.interpretation.implementation.check_implementation`;
-    for programs without witnesses the verification may fail, which the
-    returned :class:`IterationResult` records.
+    verified a posteriori with the fixed-point test of
+    :func:`repro.interpretation.synthesis.check_implementation`; for programs
+    without witnesses the verification may fail, which the returned
+    :class:`IterationResult` records.
 
-Both procedures evaluate guards through
-:func:`repro.interpretation.functional.guard_table`, which evaluates *all*
-clause guards of *all* agents in one batched pass through the active
-:mod:`repro.engine` backend (epistemic operands stacked per operator and
-agent/group) and answers each per-local-state test with two world-set
-operations against the agent's indistinguishability classes.
+``iterate_interpretation``
+    Repeatedly applies the functional ``P_{k+1} = Pg^{I_rep(P_k, gamma)}``
+    from a seed protocol until a fixed point is found or a cycle of protocols
+    recurs.  Because the functional is not monotone the iteration need not
+    converge; the paper's variable-setting example oscillates with period 2,
+    which the procedure detects and reports.
+
+Each loop is written once and owns its governance — budget ticks, obs
+events, limit errors, partial results and resume.  The
+representation is an *ops* object: :mod:`repro.interpretation.explicit`
+enumerates states, :mod:`repro.interpretation.symbolic` keeps every set a
+BDD of a :class:`repro.symbolic.model.SymbolicContextModel`; the loops
+pick one by the context's ``is_symbolic_model`` marker.
+
+Construction ops commit a round only when it ends, so whatever raises in
+the middle of a round — a budget safe point, the kernel's node ceiling,
+``max_states`` — leaves the last completed round in place, and the partial
+result handed back with the raise is exactly that round.
 """
 
 from repro import obs as _obs
 from repro import resilience as _res
-from repro.interpretation.functional import StateSetView, derive_protocol, guard_table
-from repro.interpretation.synthesis import check_implementation
-from repro.systems.actions import NOOP_NAME
-from repro.systems.interpreted_system import InterpretedSystem, represent
-from repro.systems.protocols import JointProtocol, Protocol
-from repro.systems.transition_system import TransitionSystem
-from repro.util.errors import (
-    BudgetExceededError,
-    InterpretationError,
-    IterationLimitError,
-    ProgramError,
-)
-from repro.util.helpers import stable_sort_key
+from repro.interpretation.explicit import ExplicitConstructionOps, ExplicitIterationOps
+from repro.interpretation.functional import liberal_protocol, restrictive_protocol
+from repro.interpretation.symbolic import SymbolicConstructionOps, SymbolicIterationOps
+from repro.systems.protocols import JointProtocol
+from repro.util.errors import BudgetExceededError, InterpretationError, IterationLimitError
 
 
 class IterationResult:
@@ -92,72 +92,19 @@ class IterationResult:
         return f"IterationResult({status} after {self.iterations} iterations{cycle})"
 
 
-def liberal_protocol(program, context):
-    """The seed protocol that allows, at every local state, *all* actions the
-    agent's program ever mentions (over-approximating every implementation's
-    behaviour, analogous to starting from "all states reachable")."""
-    protocols = {}
-    for agent in context.agents:
-        try:
-            actions = frozenset(program.program(agent).actions())
-        except ProgramError:
-            actions = frozenset({NOOP_NAME})
-        if not actions:
-            actions = frozenset({NOOP_NAME})
-        protocols[agent] = Protocol(agent, lambda local_state, acts=actions: acts)
-    return JointProtocol(protocols)
+# ---------------------------------------------------------------------------
+# the loops
+# ---------------------------------------------------------------------------
 
 
-def restrictive_protocol(program, context):
-    """The seed protocol that performs only the fallback action everywhere
-    (under-approximating behaviour, analogous to starting from "nothing
-    reachable beyond the initial states")."""
-    protocols = {}
-    for agent in context.agents:
-        try:
-            fallback = program.program(agent).fallback
-        except ProgramError:
-            fallback = NOOP_NAME
-        actions = frozenset({fallback if fallback is not None else NOOP_NAME})
-        protocols[agent] = Protocol(agent, lambda local_state, acts=actions: acts)
-    return JointProtocol(protocols)
-
-
-def _protocol_signature(joint_protocol, context, states):
-    """A canonical, hashable description of a protocol's behaviour on the
-    local states arising from ``states``.
-
-    The local states are ordered by :func:`repro.util.helpers.stable_sort_key`
-    rather than by ``repr``: with the default (address-embedding) ``repr``,
-    equal local states recreated across iterations would sort differently,
-    so signatures of behaviourally identical protocols could disagree and
-    fixed-point/cycle detection would become nondeterministic.
-
-    Protocols materialised by the symbolic path carry their behaviour as
-    canonical class-BDD ids (``selection_nodes``); over a symbolic context
-    the signature is read straight off those ids — no local state is ever
-    materialised.  (Node ids identify class BDDs globally, so equal
-    signatures mean equal behaviour; the tag keeps them disjoint from
-    enumerated signatures.)
-    """
-    nodes = getattr(joint_protocol, "selection_nodes", None)
-    if nodes is not None and getattr(context, "is_symbolic_model", False):
-        return tuple(
-            (agent, ("bdd-classes", nodes.get(agent, ()))) for agent in context.agents
-        )
-    signature = []
-    for agent in context.agents:
-        locals_here = sorted(context.local_states_of(agent, states), key=stable_sort_key)
-        signature.append(
-            (
-                agent,
-                tuple(
-                    (local, tuple(sorted(map(str, joint_protocol.actions(agent, local)))))
-                    for local in locals_here
-                ),
-            )
-        )
-    return tuple(signature)
+def _seed_protocol(program, context, seed):
+    if isinstance(seed, JointProtocol):
+        return seed
+    if seed == "liberal":
+        return liberal_protocol(program, context)
+    if seed == "restrictive":
+        return restrictive_protocol(program, context)
+    raise InterpretationError(f"unknown seed {seed!r}")
 
 
 def _check_resume(resume, kind):
@@ -165,6 +112,11 @@ def _check_resume(resume, kind):
         raise InterpretationError(
             f"cannot resume {kind} from a {getattr(resume, 'kind', None)!r} partial"
         )
+
+
+def _validate_agents(program):
+    for agent in program.agents:
+        program.program(agent)  # validate agents exist in the program
 
 
 def iterate_interpretation(
@@ -183,7 +135,9 @@ def iterate_interpretation(
     ----------
     seed:
         ``"liberal"`` (default), ``"restrictive"`` or an explicit
-        :class:`JointProtocol` to start from.
+        :class:`JointProtocol` to start from (over a symbolic model: one
+        carrying its behaviour as ``selection_nodes``, as the seeds above
+        and every protocol the symbolic path materialises do).
     max_iterations:
         Hard bound; exceeding it raises :class:`IterationLimitError` (an
         :class:`InterpretationError` carrying the last iterate as a
@@ -195,142 +149,101 @@ def iterate_interpretation(
 
     ``context`` may also be a
     :class:`repro.symbolic.model.SymbolicContextModel`, in which case the
-    whole iteration runs on BDDs
-    (:func:`repro.interpretation.symbolic.iterate_interpretation_symbolic`):
-    protocol iterates are class-BDD selections, representation is a
-    relational-image sweep, and fixed-point/cycle detection compares
-    canonical node ids.  ``max_states`` does not apply there — nothing
-    materialises states.
-    """
-    if getattr(context, "is_symbolic_model", False):
-        from repro.interpretation.symbolic import iterate_interpretation_symbolic
+    whole iteration runs on BDDs (:class:`SymbolicIterationOps`): protocol
+    iterates are class-BDD selections, representation is a relational-image
+    sweep, and fixed-point/cycle detection compares canonical node ids.
+    ``max_states`` does not apply there — nothing materialises states.
 
-        return iterate_interpretation_symbolic(
-            program,
-            context,
-            seed=seed,
-            max_iterations=max_iterations,
-            require_local=require_local,
-            budget=budget,
-            resume=resume,
-        )
-    if resume is not None:
-        _check_resume(resume, "iterate_interpretation")
-        current = resume.current
-        seen_systems = dict(resume.seen_systems)
-        history = list(resume.history)
-        start = resume.iteration
+    The next iterate is a function of the generated system only (it is
+    derived from it), so a repeated system key means the iteration has
+    entered a cycle.
+    """
+    _validate_agents(program)
+    if getattr(context, "is_symbolic_model", False):
+        ops = SymbolicIterationOps(program, context, require_local)
     else:
-        if seed == "liberal":
-            current = liberal_protocol(program, context)
-        elif seed == "restrictive":
-            current = restrictive_protocol(program, context)
-        elif isinstance(seed, JointProtocol):
-            current = seed
-        else:
-            raise InterpretationError(f"unknown seed {seed!r}")
-        seen_systems = {}
-        history = []
-        start = 0
+        ops = ExplicitIterationOps(program, context, require_local, max_states)
+    if resume is not None:
+        _check_resume(resume, ops.kind)
+        iteration, current = resume.iteration, resume.current
+        history, seen = list(resume.history), dict(resume.seen)
+    else:
+        iteration, current = 0, ops.seed(_seed_protocol(program, context, seed))
+        history, seen = [], {}
+
+    def partial():
+        return _res.PartialProgress(
+            ops.kind,
+            iteration=iteration,
+            current=current,
+            history=list(history),
+            seen=dict(seen),
+        )
+
+    def roots():
+        return ops.reorder_roots(current, history)
 
     with _res.activate(budget) as bud:
-        return _iterate_explicit_loop(
-            program, context, current, seen_systems, history,
-            start, max_iterations, require_local, max_states, bud,
-        )
-
-
-def _iterate_partial(iteration, current, history, seen_systems):
-    return _res.PartialProgress(
-        "iterate_interpretation",
-        iteration=iteration,
-        current=current,
-        history=list(history),
-        seen_systems=dict(seen_systems),
-    )
-
-
-def _iterate_explicit_loop(
-    program, context, current, seen_systems, history,
-    start, max_iterations, require_local, max_states, bud,
-):
-    for iteration in range(start, max_iterations):
-        if bud is not None:
-            bud.tick(
-                "fixpoint.iter",
-                iterations=iteration,
-                partial=lambda: _iterate_partial(
-                    iteration, current, history, seen_systems
-                ),
-            )
-        system = represent(context, current, max_states=max_states)
-        if _obs.ENABLED:
-            _obs.event(
-                "fixpoint.iter",
-                loop="iterate_interpretation",
-                backend="explicit",
-                iteration=iteration + 1,
-                states=len(system.states),
-            )
-        protocol_signature = _protocol_signature(current, context, system.states)
-        history.append(protocol_signature)
-        derived = derive_protocol(program, system, require_local=require_local)
-        derived_signature = _protocol_signature(derived, context, system.states)
-        if derived_signature == protocol_signature:
-            # The derived protocol agrees with the current one on every local
-            # state arising in the generated system, hence it generates the
-            # same system: a fixed point (an implementation) has been found.
-            if _obs.ENABLED:
-                _obs.counter("fixpoint.iterations", iteration + 1)
-                _obs.event(
-                    "fixpoint",
-                    loop="iterate_interpretation",
-                    backend="explicit",
-                    iterations=iteration + 1,
-                    result="converged",
+        try:
+            while iteration < max_iterations:
+                if bud is not None:
+                    bud.tick("fixpoint.iter", iterations=iteration, partial=partial,
+                             manager=ops.manager, roots=roots, groups=ops.groups)
+                ops.safe_point(roots)
+                system, used = ops.represent(current)
+                if _obs.ENABLED:
+                    _obs.event(
+                        "fixpoint.iter",
+                        loop="iterate_interpretation",
+                        backend=ops.backend,
+                        iteration=iteration + 1,
+                        states=len(system),
+                    )
+                signature = ops.signature(used, system)
+                derived = ops.derive(system)
+                if ops.signature(derived, system) == signature:
+                    # The derived protocol agrees with the current one on
+                    # every local state arising in the generated system, hence
+                    # generates the same system: a fixed point.
+                    cycle_length = None
+                else:
+                    key = ops.system_key(system)
+                    if key not in seen:
+                        history.append(signature)
+                        seen[key] = iteration
+                        current = derived
+                        iteration += 1
+                        continue
+                    cycle_length = iteration - seen[key]
+                    system, derived = ops.represent(derived)
+                protocol, system = ops.result(derived, system)
+                history.append(signature)
+                iteration += 1
+                if _obs.ENABLED:
+                    _obs.counter("fixpoint.iterations", iteration)
+                    _obs.event(
+                        "fixpoint",
+                        loop="iterate_interpretation",
+                        backend=ops.backend,
+                        iterations=iteration,
+                        result="converged" if cycle_length is None else f"cycle:{cycle_length}",
+                    )
+                return IterationResult(
+                    converged=cycle_length is None,
+                    protocol=protocol,
+                    system=system,
+                    iterations=iteration,
+                    cycle_length=cycle_length,
+                    history=history,
                 )
-            return IterationResult(
-                converged=True,
-                protocol=derived,
-                system=system,
-                iterations=iteration + 1,
-                history=history,
-            )
-        # The next iterate is a function of the generated system only (the
-        # derived protocol is tabulated from it), so repetition of the system
-        # signature means the iteration has entered a cycle.
-        system_signature = (
-            frozenset(system.states),
-            frozenset(system.transition_system.transition_relation()),
-        )
-        if system_signature in seen_systems:
-            cycle_length = iteration - seen_systems[system_signature]
-            final_system = represent(context, derived, max_states=max_states)
-            if _obs.ENABLED:
-                _obs.counter("fixpoint.iterations", iteration + 1)
-                _obs.event(
-                    "fixpoint",
-                    loop="iterate_interpretation",
-                    backend="explicit",
-                    iterations=iteration + 1,
-                    result=f"cycle:{cycle_length}",
-                )
-            return IterationResult(
-                converged=False,
-                protocol=derived,
-                system=final_system,
-                iterations=iteration + 1,
-                cycle_length=cycle_length,
-                history=history,
-            )
-        seen_systems[system_signature] = iteration
-        current = derived
+        except BudgetExceededError as error:
+            raise error.attach_partial(partial())
     raise IterationLimitError(
         f"interpretation of {context.name!r} did not stabilise within {max_iterations} iterations",
         reason="iterations",
         site="fixpoint.iter",
         diagnostics={"max_iterations": max_iterations},
-        partial=_iterate_partial(max_iterations, current, history, seen_systems),
+        partial=partial(),
     )
 
 
@@ -360,188 +273,108 @@ def construct_by_rounds(
 
     ``context`` may also be a
     :class:`repro.symbolic.model.SymbolicContextModel`, in which case the
-    construction runs entirely on BDDs
-    (:func:`repro.interpretation.symbolic.construct_by_rounds_symbolic`) and
-    never enumerates the state space — the road to contexts the explicit
-    path cannot even iterate.  ``max_states`` does not apply there: the
-    symbolic representation never materialises states.
+    construction runs entirely on BDDs (:class:`SymbolicConstructionOps`)
+    and never enumerates the state space — the road to contexts the
+    explicit path cannot even iterate.  ``max_states`` does not apply there:
+    the symbolic representation never materialises states.
 
     Under a :class:`repro.resilience.Budget` whose node ceiling fires on the
     symbolic path, the final rung of the mitigation ladder runs here: when
     the model's universe is enumerable (``state_space.size() <= max_states``)
-    the construction falls back to the explicit backend and re-runs under
-    the same budget instead of propagating the raise.
+    the construction falls back to the explicit ops and re-runs under the
+    same budget instead of propagating the raise.
     """
-    if getattr(context, "is_symbolic_model", False):
-        from repro.interpretation.symbolic import construct_by_rounds_symbolic
-
-        try:
-            return construct_by_rounds_symbolic(
-                program,
-                context,
-                max_rounds=max_rounds,
-                require_local=require_local,
-                verify=verify,
-                budget=budget,
-                resume=resume,
+    _validate_agents(program)
+    symbolic = getattr(context, "is_symbolic_model", False)
+    if symbolic:
+        ops = SymbolicConstructionOps(program, context, require_local)
+    else:
+        ops = ExplicitConstructionOps(program, context, require_local, max_states)
+    try:
+        return _construct(ops, max_rounds, verify, budget, resume)
+    except BudgetExceededError as error:
+        effective = budget if budget is not None else _res.current_budget()
+        if (
+            not symbolic
+            or error.reason != "nodes"
+            or effective is None
+            or not effective.mitigate
+            or context.state_space.size() > max_states
+        ):
+            raise
+        # Final ladder rung: the symbolic diagram blew past its node ceiling
+        # but the universe is small enough to enumerate — start over with
+        # the explicit ops under the same budget (whose node ceiling no
+        # longer binds).
+        if _obs.ENABLED:
+            _obs.event(
+                "resilience.mitigate",
+                step="fallback",
+                site="construct.round",
+                backend="explicit",
+                universe=context.state_space.size(),
             )
-        except BudgetExceededError as error:
-            effective = budget if budget is not None else _res.current_budget()
-            if (
-                error.reason != "nodes"
-                or effective is None
-                or not effective.mitigate
-                or context.state_space.size() > max_states
-            ):
-                raise
-            # Final ladder rung: the symbolic diagram blew past its node
-            # ceiling but the universe is small enough to enumerate —
-            # degrade to the explicit backend and start over under the
-            # same budget (whose node ceiling no longer binds).
-            if _obs.ENABLED:
-                _obs.event(
-                    "resilience.mitigate",
-                    step="fallback",
-                    site="construct.round",
-                    backend="explicit",
-                    universe=context.state_space.size(),
-                )
-            context = context.explicit_context()
-            resume = None
-    for agent in program.agents:
-        program.program(agent)  # validate agents exist in the program
+        ops = ExplicitConstructionOps(
+            program, context.explicit_context(), require_local, max_states
+        )
+        return _construct(ops, max_rounds, verify, budget, None)
 
+
+def _construct(ops, max_rounds, verify, budget, resume):
     if resume is not None:
-        _check_resume(resume, "construct_by_rounds")
-        depths = dict(resume.depths)
-        order = list(resume.order)
-        transitions = list(resume.transitions)
-        protocol_table = {
-            agent: dict(table) for agent, table in resume.protocol_table.items()
-        }
-        current_level = list(resume.current_level)
+        _check_resume(resume, ops.kind)
+        ops.restore(resume)
         rounds = resume.rounds
     else:
-        depths = {}
-        order = []
-        transitions = []
-        protocol_table = {agent: {} for agent in context.agents}
-
-        current_level = list(dict.fromkeys(context.initial_states))
-        for state in current_level:
-            depths[state] = 0
-            order.append(state)
         rounds = 0
 
     def partial():
-        return _res.PartialProgress(
-            "construct_by_rounds",
-            rounds=rounds,
-            depths=dict(depths),
-            order=list(order),
-            transitions=list(transitions),
-            protocol_table={
-                agent: dict(table) for agent, table in protocol_table.items()
-            },
-            current_level=list(current_level),
-        )
+        return _res.PartialProgress(ops.kind, rounds=rounds, **ops.snapshot())
 
     with _res.activate(budget) as bud:
-        while current_level and rounds < max_rounds:
-            if bud is not None:
-                bud.tick("construct.round", iterations=rounds, partial=partial)
-            rounds += 1
-            if _obs.ENABLED:
-                _obs.event(
-                    "construct.round",
-                    round=rounds,
-                    frontier=len(current_level),
-                    states=len(order),
-                    backend="explicit",
-                )
-            view = StateSetView(context, order)
-            # One batched guard evaluation per round: every clause guard of every
-            # agent is computed over the round's view in one engine pass, and the
-            # per-local-state decisions below are plain world-set operations.
-            guards = guard_table(view, program)
-            next_level = []
-            for state in current_level:
-                chosen = {}
-                for agent in context.agents:
-                    local_state = context.local_state(agent, state)
-                    if local_state in protocol_table[agent]:
-                        enabled = protocol_table[agent][local_state]
-                    else:
-                        enabled = guards.enabled_actions(
-                            agent, local_state, require_local=require_local
-                        )
-                        protocol_table[agent][local_state] = enabled
-                    chosen[agent] = enabled
-                for joint_action in context.joint_actions(state, chosen):
-                    target = context.transition(state, joint_action)
-                    transitions.append((state, joint_action, target))
-                    if target not in depths:
-                        if len(depths) >= max_states:
-                            raise IterationLimitError(
-                                f"round-by-round construction exceeded max_states={max_states}",
-                                reason="states",
-                                site="construct.round",
-                                diagnostics={"max_states": max_states},
-                                partial=partial(),
-                            )
-                        depths[target] = rounds
-                        order.append(target)
-                        next_level.append(target)
-            current_level = next_level
-
-        if current_level:
-            raise IterationLimitError(
-                f"round-by-round construction did not close within {max_rounds} rounds",
-                reason="iterations",
-                site="construct.round",
-                diagnostics={"max_rounds": max_rounds},
-                partial=partial(),
-            )
-
-    protocols = {
-        agent: Protocol(agent, dict(table), default=_fallback_set(program, agent))
-        for agent, table in protocol_table.items()
-    }
-    joint = JointProtocol(protocols)
-    transition_system = TransitionSystem(context, order, transitions, depths)
-    system = InterpretedSystem(context, transition_system)
-
-    if _obs.ENABLED:
-        _obs.event(
-            "fixpoint",
-            loop="construct_by_rounds",
-            backend="explicit",
-            iterations=rounds,
-            result=len(order),
-        )
-    verified = None
-    if verify:
         try:
-            verified = check_implementation(
-                joint, program, context, require_local=require_local, max_states=max_states
-            ).is_implementation
-        except InterpretationError:
-            # A guard turned non-local over the completed system: the frozen
-            # decisions cannot be a fixed point.  Report the failed
-            # verification instead of raising, mirroring the symbolic path.
-            verified = False
+            while ops.is_open() and rounds < max_rounds:
+                if bud is not None:
+                    bud.tick("construct.round", iterations=rounds, partial=partial,
+                             manager=ops.manager, roots=ops.reorder_roots,
+                             groups=ops.groups)
+                if _obs.ENABLED:
+                    _obs.event(
+                        "construct.round",
+                        round=rounds + 1,
+                        backend=ops.backend,
+                        **ops.round_stats(),
+                    )
+                ops.safe_point(ops.reorder_roots)
+                ops.round()
+                rounds += 1
+            if not ops.is_open():
+                if _obs.ENABLED:
+                    _obs.event(
+                        "fixpoint",
+                        loop="construct_by_rounds",
+                        backend=ops.backend,
+                        iterations=rounds,
+                        result=ops.round_stats()["states"],
+                    )
+                protocol, system = ops.result(rounds)
+                verified = ops.verify(protocol) if verify else None
+        except BudgetExceededError as error:
+            # The loop state is the last committed round (or the closed
+            # construction, when the raise came from verification).
+            raise error.attach_partial(partial())
+    if ops.is_open():
+        raise IterationLimitError(
+            f"round-by-round construction did not close within {max_rounds} rounds",
+            reason="iterations",
+            site="construct.round",
+            diagnostics={"max_rounds": max_rounds},
+            partial=partial(),
+        )
     return IterationResult(
         converged=bool(verified) if verify else True,
-        protocol=joint,
+        protocol=protocol,
         system=system,
         iterations=rounds,
         verified=verified,
     )
-
-
-def _fallback_set(program, agent):
-    try:
-        fallback = program.program(agent).fallback
-    except ProgramError:
-        fallback = NOOP_NAME
-    return frozenset({fallback if fallback is not None else NOOP_NAME})

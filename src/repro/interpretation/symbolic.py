@@ -1,54 +1,33 @@
-"""Enumeration-free interpretation of knowledge-based programs.
+"""The symbolic carrier: interpretation without enumerating states.
 
-Both interpretation procedures of :mod:`repro.interpretation.iteration` have
-symbolic twins here, reached transparently through the ``is_symbolic_model``
-dispatch of their explicit namesakes:
+Every set is a BDD of a :class:`repro.symbolic.model.SymbolicContextModel`,
+a protocol is a per-agent map ``action -> class BDD`` over the agent's
+observable variables, and behavioural comparison is equality of canonical
+node ids.  This module supplies the BDD ops of the representation-neutral
+algorithms; :mod:`repro.interpretation.explicit` supplies the enumerating
+ops of the same algorithms.
 
-:func:`construct_by_rounds_symbolic`
-    the depth-stratified construction, every set a BDD (below);
-:func:`iterate_interpretation_symbolic`
-    the non-monotone functional iteration ``P_{k+1} = Pg^{I_rep(P_k)}``,
-    with protocols as per-agent ``action -> class BDD`` maps, reachability
-    as relational images, and fixed-point/cycle detection on canonical BDD
-    node ids instead of enumerated protocol tables.
-
-:func:`construct_by_rounds_symbolic` is the symbolic twin of
-:func:`repro.interpretation.iteration.construct_by_rounds`: the same
-depth-stratified construction — guards of newly discovered local states are
-evaluated over all states discovered so far, decisions are frozen on first
-appearance, the frontier advances through the protocol-restricted
-transitions — but every set in the loop is a BDD of a
-:class:`repro.symbolic.model.SymbolicContextModel`:
-
-* the *view* of each round is a
-  :class:`~repro.symbolic.model.SymbolicStateSetView` over the accumulated
-  reachable-set BDD, so guard extensions are computed by the ``"bdd"``
-  backend's relational products (batched through the shared evaluator);
-* the *per-local-state decision loop* of the explicit construction becomes
-  one :meth:`~repro.symbolic.model.SymbolicGuardTable.enabled_sets` call
-  per agent per round: guard uniformity over a whole set of
-  indistinguishability classes is two projections per guard, and the frozen
-  protocol is a map ``action -> class BDD`` per agent;
-* the *frontier expansion* is one relational image through the compiled
-  transition relation (:meth:`SymbolicContextModel.successors`).
-
-Nothing enumerates: a round costs BDD operations whose size tracks the
-diagrams, not ``∏|domain|``, which is what lets the construction run on
-contexts whose state space the explicit engines cannot even iterate (muddy
-children at 20 participants has ``≈ 5·10^14`` states; its reachable-set and
-protocol BDDs have a few thousand nodes).
-
-The a-posteriori verification mirrors the explicit path's
-``check_implementation``: the frozen per-round decisions are recomputed
-against the *final* system and compared — equality on every decided class
-is exactly the fixed-point property ``P = Pg^{I_rep(P)}`` on reachable
-local states (and the generated system trivially agrees, being built from
-the same frozen protocol).
-
-The synthesis workers complete the picture — the whole search/check layer
-of :mod:`repro.interpretation.synthesis` has symbolic twins here, reached
-transparently through its ``is_symbolic_model`` dispatch:
-
+:class:`SymbolicConstructionOps`
+    one round of the depth-stratified construction of
+    :func:`repro.interpretation.iteration.construct_by_rounds`: the view of
+    a round is a :class:`~repro.symbolic.model.SymbolicStateSetView` over
+    the accumulated reachable-set BDD, so guard extensions are computed by
+    the ``"bdd"`` backend's relational products; the per-local-state
+    decision loop of the explicit round becomes one
+    :meth:`~repro.symbolic.model.SymbolicGuardTable.enabled_sets` call per
+    agent (guard uniformity over a whole set of indistinguishability classes
+    is two projections per guard); the frontier advances by one relational
+    image through the compiled transition relation
+    (:meth:`SymbolicContextModel.successors`).  The a-posteriori
+    verification recomputes the frozen decisions against the final system
+    and compares class BDDs — the fixed-point property ``P = Pg^{I_rep(P)}``
+    on reachable local states.
+:class:`SymbolicIterationOps`
+    represent/derive/signature for
+    :func:`repro.interpretation.iteration.iterate_interpretation`:
+    representing an iterate is a relational-image reachability sweep
+    (:func:`_reach`), deriving the next one is one ``enabled_sets`` call per
+    agent over the occupied classes, and signatures are node ids.
 :func:`check_implementation_symbolic`
     the fixed-point test: reach the candidate protocol's states by
     relational images (class-BDD selections via the protocol's
@@ -57,443 +36,249 @@ transparently through its ``is_symbolic_model`` dispatch:
     resulting view, and compare candidate and derived protocols by node-id
     selection signatures over the occupied classes — behavioural equality
     without enumerating a single local state;
-:func:`enumerate_implementations_symbolic`
-    the exhaustive search: the candidate universe is the reachable set of
-    the *liberal* protocol (complete — every implementation's selections
-    are a subset of the liberal ones, so its reachable set is too),
-    candidates are that universe's subset BDDs containing the initial
-    states, and the fixed-point filter ``reach(P_R) = R`` is canonical
-    node-id equality;
+:class:`SymbolicSynthesisOps`
+    the exhaustive search's primitives: the candidate universe is the
+    reachable set of the *liberal* protocol (complete — every
+    implementation's selections are a subset of the liberal ones, so its
+    reachable set is too), candidates are that universe's subset BDDs
+    containing the initial states, and the fixed-point filter
+    ``reach(P_R) = R`` is canonical node-id equality;
 :func:`derive_protocol_symbolic`
-    the functional ``Pg^view`` over a symbolic view, one
-    :meth:`~repro.symbolic.model.SymbolicGuardTable.enabled_sets` call per
-    agent instead of a per-local-state loop.
+    the functional ``Pg^view`` over a symbolic view, one ``enabled_sets``
+    call per agent instead of a per-local-state loop.
+
+Nothing enumerates: a round costs BDD operations whose size tracks the
+diagrams, not ``∏|domain|``, which is what lets the construction run on
+contexts whose state space the explicit engines cannot even iterate (muddy
+children at 20 participants has ``≈ 5·10^14`` states; its reachable-set and
+protocol BDDs have a few thousand nodes).
 """
 
 from repro import obs as _obs
-from repro import resilience as _res
-from repro.interpretation.functional import guard_table
-from repro.interpretation.iteration import IterationResult, _fallback_set
+from repro.interpretation.functional import _fallback_set, guard_table, liberal_protocol
+from repro.interpretation.synthesis import ImplementationReport
 from repro.obs.registry import hit_rate
-from repro.interpretation.synthesis import (
-    ImplementationReport,
-    run_candidate_search,
-)
 from repro.symbolic.bdd import FALSE, TRUE
-from repro.systems.actions import NOOP_NAME
 from repro.systems.protocols import JointProtocol, Protocol
-from repro.util.errors import (
-    BudgetExceededError,
-    InterpretationError,
-    IterationLimitError,
-    ModelError,
-    ProgramError,
-)
+from repro.util.errors import InterpretationError, ModelError, ProgramError
 from repro.util.helpers import stable_sort_key
 
 __all__ = [
-    "construct_by_rounds_symbolic",
-    "iterate_interpretation_symbolic",
+    "SymbolicConstructionOps",
+    "SymbolicIterationOps",
+    "SymbolicSynthesisOps",
     "check_implementation_symbolic",
-    "enumerate_implementations_symbolic",
     "derive_protocol_symbolic",
     "SymbolicImplementationReport",
     "SymbolicSystem",
 ]
 
 
-def _construct_partial(rounds, seen, frontier, decided, selection):
-    """Snapshot the construction loop's state as a resumable partial."""
-    return _res.PartialProgress(
-        "construct_by_rounds_symbolic",
-        rounds=rounds,
-        seen=seen,
-        frontier=frontier,
-        decided=dict(decided),
-        selection={agent: dict(table) for agent, table in selection.items()},
-    )
+class _SymbolicOps:
+    """What the symbolic loop ops share: the model's manager, whose node
+    ceiling the budget governs and whose sifts run at the loop's safe
+    points."""
+
+    backend = "bdd"
+
+    def __init__(self, program, model, require_local):
+        self.program = program
+        self.model = model
+        self.require_local = require_local
+        self.manager = model.encoding.bdd
+        self.groups = model.encoding.reorder_groups
+
+    def safe_point(self, roots):
+        # Loop boundaries are precise safe points: ``roots()`` enumerates
+        # everything the loop holds, so a pending sift can collect
+        # unreachable junk as well.
+        if self.manager.reorder_pending:
+            self.manager.maybe_reorder(roots())
 
 
-def _check_resume(resume, kind):
-    if getattr(resume, "kind", None) != kind:
-        raise InterpretationError(
-            f"cannot resume {kind} from a {getattr(resume, 'kind', None)!r} partial"
+class SymbolicConstructionOps(_SymbolicOps):
+    """The BDD round of the depth-stratified construction.
+
+    Committed state: ``seen`` (the reachable-set BDD so far), ``frontier``
+    (the newest round's states), ``decided`` (per agent, the classes whose
+    actions are frozen) and ``selection`` (per agent, ``action -> class
+    BDD``).  A round builds new containers and swaps them in at its end;
+    it never mutates the committed ones, so a snapshot can share them and a
+    raise mid-round leaves the previous round intact.
+    """
+
+    kind = "construct_by_rounds_symbolic"
+
+    def __init__(self, program, model, require_local):
+        super().__init__(program, model, require_local)
+        self.seen = self.frontier = model.initial
+        self.decided = {agent: FALSE for agent in model.agents}
+        self.selection = {agent: {} for agent in model.agents}
+
+    def snapshot(self):
+        return {
+            "seen": self.seen,
+            "frontier": self.frontier,
+            "decided": self.decided,
+            "selection": self.selection,
+        }
+
+    def restore(self, partial):
+        # Node ids stay valid across the seam: they live in the model's
+        # manager, whose unique table is never cleared.
+        self.seen, self.frontier = partial.seen, partial.frontier
+        self.decided, self.selection = partial.decided, partial.selection
+
+    def is_open(self):
+        return self.frontier != FALSE
+
+    def round_stats(self):
+        # Round-granularity telemetry is cheap relative to a round's BDD
+        # work: two model counts and a read of the kernel's counters.
+        bdd = self.manager
+        return {
+            "frontier": self.model.encoding.count(self.frontier),
+            "states": self.model.encoding.count(self.seen),
+            "cache_hit_rate": hit_rate(
+                bdd._ite_hits + bdd._op_hits, bdd._ite_misses + bdd._op_misses
+            ),
+        }
+
+    def reorder_roots(self):
+        roots = self.model.reorder_roots() + [self.seen, self.frontier]
+        roots += self.decided.values()
+        for agent_selection in self.selection.values():
+            roots += agent_selection.values()
+        return roots
+
+    def round(self):
+        model = self.model
+        bdd = self.manager
+        view = model.view(self.seen)
+        # One symbolic guard table per round's view: all clause guards are
+        # evaluated over the accumulated states in one batched engine pass,
+        # and each agent's newly appearing classes are decided at once.
+        table = guard_table(view, self.program)
+        decided = dict(self.decided)
+        selection = {agent: dict(actions) for agent, actions in self.selection.items()}
+        for agent in model.agents:
+            new_classes = bdd.diff(view.project(agent, self.frontier), decided[agent])
+            if new_classes == FALSE:
+                continue
+            enabled = table.enabled_sets(agent, new_classes, require_local=self.require_local)
+            agent_selection = selection[agent]
+            for action, classes in enabled.items():
+                agent_selection[action] = bdd.or_(agent_selection.get(action, FALSE), classes)
+            decided[agent] = bdd.or_(decided[agent], new_classes)
+        frontier = bdd.diff(model.successors(self.frontier, selection), self.seen)
+        seen = bdd.or_(self.seen, frontier)
+        self.seen, self.frontier, self.decided, self.selection = seen, frontier, decided, selection
+
+    def result(self, rounds):
+        protocol = _materialise_protocol(self.program, self.model, self.selection, self.decided)
+        system = SymbolicSystem(self.model, self.seen, rounds, selection=self.selection)
+        return protocol, system
+
+    def verify(self, protocol):
+        """Recompute every decided class's clause selection against the
+        final system and compare with the frozen decisions — the
+        implementation fixed-point test, per class instead of per local
+        state."""
+        table = guard_table(self.model.view(self.seen), self.program)
+        for agent in self.model.agents:
+            try:
+                final = table.enabled_sets(
+                    agent, self.decided[agent], require_local=self.require_local
+                )
+            except InterpretationError:
+                return False
+            frozen = self.selection[agent]
+            for action in set(final) | set(frozen):
+                if final.get(action, FALSE) != frozen.get(action, FALSE):
+                    return False
+        return True
+
+
+class SymbolicIterationOps(_SymbolicOps):
+    """BDD primitives of the functional iteration.
+
+    An iterate is a per-agent ``action -> class BDD`` map.  Fixed-point
+    detection compares *selection signatures* — per agent, the sorted
+    ``(action, node id)`` pairs of each action's class BDD restricted to the
+    occupied classes; canonicity makes node-id equality exactly behavioural
+    equality on the arising local states, so the test matches the explicit
+    ``_protocol_signature`` without enumerating a single local state.
+
+    The system key is the reachable-set node alone: the derived protocol is
+    a deterministic function of the reachable set, and the next reachable
+    set a deterministic function of the derived protocol, so a repeated
+    state-set node means the iteration has entered a cycle (occasionally
+    one iteration earlier than the explicit key, which also hashes the
+    transitions).
+    """
+
+    kind = "iterate_interpretation_symbolic"
+
+    def __init__(self, program, model, require_local):
+        super().__init__(program, model, require_local)
+        self._occupied = None
+
+    def seed(self, protocol):
+        if getattr(protocol, "selection_nodes", None) is None:
+            raise InterpretationError(
+                f"unknown seed {protocol!r}: the symbolic iteration accepts 'liberal', "
+                f"'restrictive', or a joint protocol carrying its class BDDs "
+                f"(selection_nodes)"
+            )
+        return _selection_of(protocol, self.model.agents)
+
+    def reorder_roots(self, current, history):
+        roots = self.model.reorder_roots()
+        for agent_selection in current.values():
+            roots += agent_selection.values()
+        for signature in history:
+            for _agent, entries in signature:
+                roots += [node for _action, node in entries]
+        return roots
+
+    def represent(self, selection):
+        states, rounds, used = _reach(self.program, self.model, selection)
+        self._occupied = None
+        return SymbolicSystem(self.model, states, rounds, selection=used), used
+
+    def _classes(self, system):
+        # Memoised for the iteration at hand only: ``represent`` resets it,
+        # and no sift runs between it and the reads below.
+        if self._occupied is None:
+            self._occupied = _occupied_classes(self.model, system.states_node)
+        return self._occupied
+
+    def signature(self, selection, system):
+        return _selection_signature(self.model, selection, self._classes(system))
+
+    def derive(self, system):
+        return _derive_selection(
+            self.program, self.model, system.states_node, self._classes(system),
+            self.require_local,
+        )
+
+    def system_key(self, system):
+        return system.states_node
+
+    def result(self, selection, system):
+        protocol = _materialise_protocol(
+            self.program, self.model, selection, _decided_union(self.model, selection)
+        )
+        return protocol, SymbolicSystem(
+            self.model, system.states_node, system.rounds, selection=selection
         )
 
 
-def construct_by_rounds_symbolic(
-    program,
-    model,
-    max_rounds=1000,
-    require_local=True,
-    verify=True,
-    budget=None,
-    resume=None,
-):
-    """Depth-stratified construction over a symbolic context model.
-
-    Returns an :class:`~repro.interpretation.iteration.IterationResult`
-    whose ``system`` is a :class:`SymbolicSystem` (reachable set as a BDD,
-    knowledge queries through the symbolic evaluator) and whose
-    ``protocol`` is a callable-backed joint protocol evaluating the frozen
-    class BDDs at any concrete local state.
-
-    ``budget`` installs a :class:`repro.resilience.Budget` for the call;
-    a raise carries the last completed round's state as a
-    :class:`~repro.resilience.PartialProgress`, and passing that partial
-    back as ``resume`` (against the *same* model, whose manager keeps every
-    node id valid) continues the construction where it stopped — the
-    canonical kernel guarantees the resumed run reaches the identical
-    fixed point.
-    """
-    for agent in program.agents:
-        program.program(agent)  # validate agents exist in the program
-
-    bdd = model.encoding.bdd
-    if resume is not None:
-        _check_resume(resume, "construct_by_rounds_symbolic")
-        seen = resume.seen
-        frontier = resume.frontier
-        decided = dict(resume.decided)
-        selection = {agent: dict(table) for agent, table in resume.selection.items()}
-        rounds = resume.rounds
-    else:
-        seen = model.initial
-        frontier = model.initial
-        decided = {agent: FALSE for agent in model.agents}
-        selection = {agent: {} for agent in model.agents}
-        rounds = 0
-
-    with _res.activate(budget) as bud:
-        snapshot = None
-        while frontier != FALSE and rounds < max_rounds:
-            if bud is not None:
-                # Eager snapshot: if the budget fires anywhere inside the
-                # round (including from the kernel mid-operation), the
-                # partial must describe the consistent pre-round state, not
-                # a half-mutated one.
-                snapshot = _construct_partial(rounds, seen, frontier, decided, selection)
-                roots = lambda: model.reorder_roots() + _in_flight_nodes(
-                    seen, frontier, decided, selection
-                )
-                bud.tick(
-                    "construct.round",
-                    iterations=rounds,
-                    manager=bdd,
-                    roots=roots,
-                    groups=model.encoding.reorder_groups,
-                    partial=snapshot,
-                )
-            rounds += 1
-            try:
-                if _obs.ENABLED:
-                    # Round-granularity telemetry is cheap relative to a round's BDD
-                    # work: two model counts and a read of the kernel's counters.
-                    _obs.event(
-                        "construct.round",
-                        round=rounds,
-                        frontier=model.encoding.count(frontier),
-                        states=model.encoding.count(seen),
-                        backend="bdd",
-                        cache_hit_rate=hit_rate(
-                            bdd._ite_hits + bdd._op_hits, bdd._ite_misses + bdd._op_misses
-                        ),
-                    )
-                if bdd.reorder_pending:
-                    # Round boundaries are the construction's precise safe points:
-                    # everything the loop holds is enumerable here, so a pending
-                    # sift can collect unreachable junk as well.
-                    model.maybe_reorder(
-                        _in_flight_nodes(seen, frontier, decided, selection)
-                    )
-                view = model.view(seen)
-                # One symbolic guard table per round's view: all clause guards are
-                # evaluated over the accumulated states in one batched engine pass,
-                # and each agent's newly appearing classes are decided at once.
-                table = guard_table(view, program)
-                for agent in model.agents:
-                    new_classes = bdd.diff(view.project(agent, frontier), decided[agent])
-                    if new_classes == FALSE:
-                        continue
-                    enabled = table.enabled_sets(
-                        agent, new_classes, require_local=require_local
-                    )
-                    agent_selection = selection[agent]
-                    for action, classes in enabled.items():
-                        agent_selection[action] = bdd.or_(
-                            agent_selection.get(action, FALSE), classes
-                        )
-                    decided[agent] = bdd.or_(decided[agent], new_classes)
-                targets = model.successors(frontier, selection)
-                frontier = bdd.diff(targets, seen)
-                seen = bdd.or_(seen, frontier)
-            except BudgetExceededError as error:
-                raise error.attach_partial(snapshot)
-
-        if frontier != FALSE:
-            raise IterationLimitError(
-                f"round-by-round construction did not close within {max_rounds} rounds",
-                reason="iterations",
-                site="construct.round",
-                diagnostics={"max_rounds": max_rounds},
-                partial=_construct_partial(rounds, seen, frontier, decided, selection),
-            )
-
-        if _obs.ENABLED:
-            _obs.event(
-                "fixpoint",
-                loop="construct_by_rounds",
-                backend="bdd",
-                iterations=rounds,
-                result=model.encoding.count(seen),
-            )
-        try:
-            verified = None
-            if verify:
-                verified = _verify_fixed_point(
-                    program, model, seen, decided, selection, require_local
-                )
-            protocol = _materialise_protocol(program, model, selection, decided)
-        except BudgetExceededError as error:
-            # The loop closed; a raise during verification still hands back
-            # the full construction state (resuming redoes only the check).
-            raise error.attach_partial(
-                _construct_partial(rounds, seen, frontier, decided, selection)
-            )
-    system = SymbolicSystem(model, seen, rounds, selection=selection)
-    return IterationResult(
-        converged=bool(verified) if verify else True,
-        protocol=protocol,
-        system=system,
-        iterations=rounds,
-        verified=verified,
-    )
-
-
-def _in_flight_nodes(seen, frontier, decided, selection):
-    """The construction loop's live nodes (reorder roots / sift extras)."""
-    nodes = [seen, frontier]
-    nodes += decided.values()
-    for agent_selection in selection.values():
-        nodes += agent_selection.values()
-    return nodes
-
-
-def _iterate_partial(iteration, current, history, seen_states):
-    """Snapshot the fixed-point loop's state as a resumable partial."""
-    return _res.PartialProgress(
-        "iterate_interpretation_symbolic",
-        iteration=iteration,
-        current={agent: dict(table) for agent, table in current.items()},
-        history=list(history),
-        seen_states=dict(seen_states),
-    )
-
-
-def iterate_interpretation_symbolic(
-    program,
-    model,
-    seed="liberal",
-    max_iterations=100,
-    require_local=True,
-    budget=None,
-    resume=None,
-):
-    """Iterate ``P_{k+1} = Pg^{I_rep(P_k)}`` entirely on BDDs.
-
-    The symbolic twin of
-    :func:`repro.interpretation.iteration.iterate_interpretation`: a protocol
-    iterate is a per-agent map ``action -> class BDD``, representing it is a
-    relational-image reachability sweep (:func:`_reach`), and deriving the
-    next protocol is one :meth:`SymbolicGuardTable.enabled_sets` call per
-    agent over the occupied local-state classes.  Fixed-point detection
-    compares *selection signatures* — per agent, the sorted ``(action,
-    node id)`` pairs of each action's class BDD restricted to the occupied
-    classes; canonicity makes node-id equality exactly behavioural equality
-    on the arising local states, so the test matches the explicit path's
-    ``_protocol_signature`` without enumerating a single local state.
-
-    Cycle detection keys on the reachable-set node alone: the derived
-    protocol is a deterministic function of the reachable set (guards are
-    evaluated over its view), and the next reachable set is a deterministic
-    function of the derived protocol — so a repeated state-set node means
-    the iteration has entered a cycle, mirroring the explicit
-    ``system_signature`` argument.
-
-    ``seed`` is ``"liberal"`` (all program-mentioned actions everywhere),
-    ``"restrictive"`` (the fallback action everywhere), or a joint protocol
-    previously materialised by the symbolic path (it carries its class BDDs
-    as ``selection_nodes``).  There is no ``max_states``: nothing here
-    materialises states.
-    """
-    for agent in program.agents:
-        program.program(agent)  # validate agents exist in the program
-
-    bdd = model.encoding.bdd
-    if resume is not None:
-        _check_resume(resume, "iterate_interpretation_symbolic")
-        current = {agent: dict(table) for agent, table in resume.current.items()}
-        seen_states = dict(resume.seen_states)
-        history = list(resume.history)
-        start = resume.iteration
-    else:
-        current = _seed_selection(program, model, seed)
-        seen_states = {}
-        history = []
-        start = 0
-
-    with _res.activate(budget) as bud:
-        holder = []
-        try:
-            return _iterate_symbolic_loop(
-                program, model, bdd, current, seen_states, history,
-                start, max_iterations, require_local, bud, holder,
-            )
-        except BudgetExceededError as error:
-            # A kernel-level raise mid-iteration carries no partial of its
-            # own; hand back the last consistent pre-iteration snapshot.
-            raise error.attach_partial(holder[0] if holder else None)
-
-
-def _iterate_symbolic_loop(
-    program, model, bdd, current, seen_states, history,
-    start, max_iterations, require_local, bud, holder,
-):
-    for iteration in range(start, max_iterations):
-        if bud is not None:
-            snapshot = _iterate_partial(iteration, current, history, seen_states)
-            holder[:] = [snapshot]
-            bud.tick(
-                "fixpoint.iter",
-                iterations=iteration,
-                manager=bdd,
-                roots=lambda: _iterate_in_flight(model, current, history),
-                groups=model.encoding.reorder_groups,
-                partial=snapshot,
-            )
-        if bdd.reorder_pending:
-            # Iteration boundaries are precise safe points: the loop holds
-            # only the current selection, the memoised state-set views
-            # (rooted by the model) and the signature nodes in ``history``.
-            model.maybe_reorder(_iterate_in_flight(model, current, history))
-        states, rounds, current = _reach(program, model, current)
-        if _obs.ENABLED:
-            _obs.event(
-                "fixpoint.iter",
-                loop="iterate_interpretation",
-                backend="bdd",
-                iteration=iteration + 1,
-                node=states,
-            )
-        view = model.view(states)
-        occupied = {agent: view.project(agent, states) for agent in model.agents}
-        current_signature = _selection_signature(model, current, occupied)
-        history.append(current_signature)
-        table = guard_table(view, program)
-        derived = {
-            agent: table.enabled_sets(agent, occupied[agent], require_local=require_local)
-            for agent in model.agents
-        }
-        derived_signature = _selection_signature(model, derived, occupied)
-        if derived_signature == current_signature:
-            # The derived protocol agrees with the current one on every
-            # occupied class, hence generates the same system: a fixed point
-            # (an implementation) has been found.
-            if _obs.ENABLED:
-                _obs.counter("fixpoint.iterations", iteration + 1)
-                _obs.event(
-                    "fixpoint",
-                    loop="iterate_interpretation",
-                    backend="bdd",
-                    iterations=iteration + 1,
-                    result="converged",
-                )
-            protocol = _materialise_protocol(
-                program, model, derived, _decided_union(model, derived)
-            )
-            system = SymbolicSystem(model, states, rounds, selection=derived)
-            return IterationResult(
-                converged=True,
-                protocol=protocol,
-                system=system,
-                iterations=iteration + 1,
-                history=history,
-            )
-        if states in seen_states:
-            cycle_length = iteration - seen_states[states]
-            if _obs.ENABLED:
-                _obs.counter("fixpoint.iterations", iteration + 1)
-                _obs.event(
-                    "fixpoint",
-                    loop="iterate_interpretation",
-                    backend="bdd",
-                    iterations=iteration + 1,
-                    result=f"cycle:{cycle_length}",
-                )
-            final_states, final_rounds, final_selection = _reach(program, model, derived)
-            protocol = _materialise_protocol(
-                program, model, final_selection, _decided_union(model, final_selection)
-            )
-            system = SymbolicSystem(
-                model, final_states, final_rounds, selection=final_selection
-            )
-            return IterationResult(
-                converged=False,
-                protocol=protocol,
-                system=system,
-                iterations=iteration + 1,
-                cycle_length=cycle_length,
-                history=history,
-            )
-        seen_states[states] = iteration
-        current = derived
-    raise IterationLimitError(
-        f"interpretation of {model.name!r} did not stabilise within {max_iterations} iterations",
-        reason="iterations",
-        site="fixpoint.iter",
-        diagnostics={"max_iterations": max_iterations},
-        partial=_iterate_partial(max_iterations, current, history, seen_states),
-    )
-
-
-def _iterate_in_flight(model, current, history):
-    """The fixed-point loop's live nodes (reorder roots / sift extras)."""
-    in_flight = []
-    for agent_selection in current.values():
-        in_flight += agent_selection.values()
-    for signature in history:
-        for _agent, entries in signature:
-            in_flight += [node for _action, node in entries]
-    return in_flight
-
-
-def _seed_selection(program, model, seed):
-    """The per-agent ``action -> class BDD`` map of a seed protocol."""
-    if seed == "liberal":
-        selection = {}
-        for agent in model.agents:
-            try:
-                actions = frozenset(program.program(agent).actions())
-            except ProgramError:
-                actions = frozenset({NOOP_NAME})
-            if not actions:
-                actions = frozenset({NOOP_NAME})
-            selection[agent] = {action: TRUE for action in actions}
-        return selection
-    if seed == "restrictive":
-        return {
-            agent: {action: TRUE for action in _fallback_set(program, agent)}
-            for agent in model.agents
-        }
-    nodes = getattr(seed, "selection_nodes", None)
-    if nodes is not None:
-        return {
-            agent: dict(nodes.get(agent, ())) for agent in model.agents
-        }
-    raise InterpretationError(
-        f"unknown seed {seed!r}: the symbolic iteration accepts 'liberal', "
-        f"'restrictive', or a joint protocol materialised by the symbolic path"
-    )
+def _selection_of(protocol, agents):
+    """The per-agent ``action -> class BDD`` map a protocol carries as
+    ``selection_nodes``."""
+    nodes = protocol.selection_nodes
+    return {agent: dict(nodes.get(agent, ())) for agent in agents}
 
 
 def _reach(program, model, selection):
@@ -510,12 +295,7 @@ def _reach(program, model, selection):
     selection = {
         agent: dict(agent_selection) for agent, agent_selection in selection.items()
     }
-    covered = {}
-    for agent, agent_selection in selection.items():
-        node = FALSE
-        for classes in agent_selection.values():
-            node = bdd.or_(node, classes)
-        covered[agent] = node
+    covered = _decided_union(model, selection)
     seen = model.initial
     frontier = model.initial
     rounds = 0
@@ -550,6 +330,21 @@ def _project(model, agent, node):
     return model.encoding.bdd.exists(node, levels)
 
 
+def _occupied_classes(model, states):
+    """Per agent, the local-state classes meeting ``states``."""
+    return {agent: _project(model, agent, states) for agent in model.agents}
+
+
+def _derive_selection(program, model, states, occupied, require_local):
+    """The functional over the view of ``states``: per agent, the clause
+    selection of every occupied class, from one guard table."""
+    table = guard_table(model.view(states), program)
+    return {
+        agent: table.enabled_sets(agent, occupied[agent], require_local=require_local)
+        for agent in model.agents
+    }
+
+
 def _selection_signature(model, selection, occupied):
     """The canonical behaviour of ``selection`` on the ``occupied`` classes:
     per agent, the sorted ``(action, class-BDD id)`` pairs after restriction
@@ -580,25 +375,6 @@ def _decided_union(model, selection):
             node = bdd.or_(node, classes)
         decided[agent] = node
     return decided
-
-
-def _verify_fixed_point(program, model, seen, decided, selection, require_local):
-    """Recompute every decided class's clause selection against the final
-    system and compare with the frozen decisions — the implementation
-    fixed-point test, per class instead of per local state."""
-    view = model.view(seen)
-    table = guard_table(view, program)
-    bdd = model.encoding.bdd
-    for agent in model.agents:
-        try:
-            final = table.enabled_sets(agent, decided[agent], require_local=require_local)
-        except InterpretationError:
-            return False
-        frozen = selection[agent]
-        for action in set(final) | set(frozen):
-            if final.get(action, FALSE) != frozen.get(action, FALSE):
-                return False
-    return True
 
 
 def _materialise_protocol(program, model, selection, decided, fallback_on_unknown=True):
@@ -642,8 +418,8 @@ def _materialise_protocol(program, model, selection, decided, fallback_on_unknow
     joint = JointProtocol(protocols)
     # Canonical class-BDD ids, the currency of the symbolic fixed-point
     # machinery: _protocol_signature's enumeration-free fast path reads
-    # them, and iterate_interpretation_symbolic accepts a protocol carrying
-    # them as a seed.
+    # them, and the symbolic iteration accepts a protocol carrying them as
+    # a seed.
     joint.selection_nodes = {
         agent: tuple(
             sorted(
@@ -676,15 +452,10 @@ def derive_protocol_symbolic(program, view, require_local=True, fallback_on_unkn
     ``selection_nodes``.
     """
     model = view.model
-    states_node = view.states_node
-    view = model.view(states_node)  # the memoised canonical view of the set
-    table = guard_table(view, program)
-    selection = {
-        agent: table.enabled_sets(
-            agent, view.project(agent, states_node), require_local=require_local
-        )
-        for agent in model.agents
-    }
+    states = view.states_node
+    selection = _derive_selection(
+        program, model, states, _occupied_classes(model, states), require_local
+    )
     return _materialise_protocol(
         program,
         model,
@@ -697,22 +468,21 @@ def derive_protocol_symbolic(program, view, require_local=True, fallback_on_unkn
 def _candidate_reach(model, program, joint_protocol):
     """Reach the states generated by an arbitrary candidate protocol.
 
-    Protocols materialised by the symbolic path carry their behaviour as
-    class BDDs (``selection_nodes``) and go straight through :func:`_reach`
-    — the PR 6 fast path, no state ever enumerated.  Any other joint
-    protocol is evaluated *lazily*: each round, the frontier's newly met
-    local-state classes (per agent) are enumerated and the protocol is
-    asked for its action set at exactly those points, accumulating the same
+    Protocols carrying their behaviour as class BDDs (``selection_nodes`` —
+    every protocol the symbolic path materialises, and the uniform seeds of
+    :mod:`repro.interpretation.iteration`) go straight through
+    :func:`_reach`, no state ever enumerated.  Any other joint protocol is
+    evaluated *lazily*: each round, the frontier's newly met local-state
+    classes (per agent) are enumerated and the protocol is asked for its
+    action set at exactly those points, accumulating the same
     ``action -> class BDD`` selection.  Cost is proportional to the number
     of distinct local states the candidate actually reaches — the quantity
     the explicit ``represent`` enumerates anyway — not to the state space.
 
     Returns ``(states, rounds, selection)``.
     """
-    nodes = getattr(joint_protocol, "selection_nodes", None)
-    if nodes is not None:
-        selection = {agent: dict(nodes.get(agent, ())) for agent in model.agents}
-        return _reach(program, model, selection)
+    if getattr(joint_protocol, "selection_nodes", None) is not None:
+        return _reach(program, model, _selection_of(joint_protocol, model.agents))
     encoding = model.encoding
     bdd = encoding.bdd
     selection = {agent: {} for agent in model.agents}
@@ -838,13 +608,8 @@ def check_implementation_symbolic(joint_protocol, program, model, require_local=
         program.program(agent)  # validate agents exist in the program
 
     states, rounds, candidate_selection = _candidate_reach(model, program, joint_protocol)
-    view = model.view(states)
-    occupied = {agent: view.project(agent, states) for agent in model.agents}
-    table = guard_table(view, program)
-    derived_selection = {
-        agent: table.enabled_sets(agent, occupied[agent], require_local=require_local)
-        for agent in model.agents
-    }
+    occupied = _occupied_classes(model, states)
+    derived_selection = _derive_selection(program, model, states, occupied, require_local)
     candidate_signature = _selection_signature(model, candidate_selection, occupied)
     derived_signature = _selection_signature(model, derived_selection, occupied)
     system = SymbolicSystem(model, states, rounds, selection=candidate_selection)
@@ -866,16 +631,17 @@ class SymbolicSynthesisOps:
     """BDD primitives for
     :func:`repro.interpretation.synthesis.run_candidate_search`.
 
-    The candidate universe defaults to the reachable set of the *liberal*
-    protocol (all program-mentioned actions, fallback included, at every
-    class).  This restriction is complete: any implementation's derived
-    selections come from clause actions and the fallback, hence are a
-    pointwise subset of the liberal selection, so its transition relation —
-    and with it its reachable set — is contained in the liberal one.
-    Candidates are subset BDDs of that universe containing the initial
-    states, and because the ROBDD kernel is canonical, the fixed-point
-    filter ``reach(P_R) = R`` and the behavioural dedupe are both plain
-    node-id comparisons.
+    The candidate universe (``universe``) defaults to the reachable set of
+    the *liberal* protocol (all program-mentioned actions, fallback
+    included, at every class).  This restriction is complete: any
+    implementation's derived selections come from clause actions and the
+    fallback, hence are a pointwise subset of the liberal selection, so its
+    transition relation — and with it its reachable set — is contained in
+    the liberal one.  ``all_states`` may override the universe with an
+    iterable of states or a state-set BDD node.  Candidates are subset BDDs
+    of the universe containing the initial states, and because the ROBDD
+    kernel is canonical, the fixed-point filter ``reach(P_R) = R`` and the
+    behavioural dedupe are both plain node-id comparisons.
     """
 
     def __init__(self, program, model, all_states=None, require_local=True):
@@ -887,8 +653,8 @@ class SymbolicSynthesisOps:
         encoding = model.encoding
         bdd = encoding.bdd
         if all_states is None:
-            universe, _, _ = _reach(
-                program, model, _seed_selection(program, model, "liberal")
+            universe, _, _ = _candidate_reach(
+                model, program, liberal_protocol(program, model)
             )
         elif isinstance(all_states, int):  # a state-set BDD node
             universe = all_states
@@ -917,24 +683,12 @@ class SymbolicSynthesisOps:
         return node
 
     def derive(self, candidate):
-        view = self.model.view(candidate)
-        table = guard_table(view, self.program)
-        selection = {
-            agent: table.enabled_sets(
-                agent, view.project(agent, candidate), require_local=self.require_local
-            )
-            for agent in self.model.agents
-        }
-        return _materialise_protocol(
-            self.program, self.model, selection, _decided_union(self.model, selection)
+        return derive_protocol_symbolic(
+            self.program, self.model.view(candidate), require_local=self.require_local
         )
 
     def represent(self, protocol):
-        selection = {
-            agent: dict(protocol.selection_nodes.get(agent, ()))
-            for agent in self.model.agents
-        }
-        states, rounds, used = _reach(self.program, self.model, selection)
+        states, rounds, used = _candidate_reach(self.model, self.program, protocol)
         return SymbolicSystem(self.model, states, rounds, selection=used), states
 
     def matches(self, reachable, candidate):
@@ -942,26 +696,6 @@ class SymbolicSynthesisOps:
 
     def key(self, reachable):
         return reachable
-
-
-def enumerate_implementations_symbolic(
-    program,
-    model,
-    all_states=None,
-    max_free_states=16,
-    require_local=True,
-    budget=None,
-):
-    """The symbolic search worker (see
-    :func:`repro.interpretation.synthesis.enumerate_implementations` for the
-    dispatching public entry point and parameter documentation).
-
-    ``all_states`` may override the liberal-reachable candidate universe
-    with an iterable of states or a state-set BDD node."""
-    ops = SymbolicSynthesisOps(
-        program, model, all_states=all_states, require_local=require_local
-    )
-    return run_candidate_search(ops, max_free_states, budget=budget)
 
 
 class SymbolicSystem:
@@ -973,7 +707,7 @@ class SymbolicSystem:
     ``extension``, ``local_state``) plus the symbolic accessors
     (``states_node``, ``state_count``, ``iter_states``,
     ``extension_node``).  When built with the frozen protocol ``selection``
-    (``construct_by_rounds_symbolic`` always passes it) the system also
+    (every system the symbolic ops build carries one) the system also
     compiles its own transition relation (:meth:`transition_node`), which is
     what :class:`repro.temporal.symbolic.SymbolicCTLKModelChecker` iterates;
     run generation and the structural predicates of the explicit class need
@@ -1060,7 +794,7 @@ class SymbolicSystem:
             raise ModelError(
                 "this SymbolicSystem carries no frozen protocol selection; "
                 "transition relations need one (rebuild it through "
-                "construct_by_rounds_symbolic)"
+                "construct_by_rounds)"
             )
         model = self.model
         encoding = model.encoding
@@ -1110,7 +844,7 @@ class SymbolicSystem:
             "context": self.model.name,
             "states": self.state_count(),
             "rounds": self.rounds,
-            "bdd_nodes": self.model.encoding.bdd.cache_info()["nodes"],
+            "bdd_nodes": self.model.encoding.bdd.cache_info()["unique.nodes"],
         }
 
     def __repr__(self):

@@ -18,9 +18,8 @@ This module holds those two algorithms plus their result types, written
 against a small set of primitives (generate, derive, compare, enumerate
 candidates) with two interchangeable carriers:
 
-* the **explicit** carrier (:mod:`repro.interpretation.implementation`,
-  :mod:`repro.interpretation.search`): states are enumerated, protocols are
-  tables, reachable sets are frozensets;
+* the **explicit** carrier (:mod:`repro.interpretation.explicit`): states
+  are enumerated, protocols are tables, reachable sets are frozensets;
 * the **symbolic** carrier (:mod:`repro.interpretation.symbolic`): states
   are BDDs of a :class:`repro.symbolic.model.SymbolicContextModel`,
   protocols are per-agent ``action -> class BDD`` maps, reachable sets are
@@ -31,8 +30,8 @@ The public entry points — :func:`check_implementation`, :func:`implements`,
 :func:`enumerate_implementations`, :func:`classify_program`,
 :func:`search` — dispatch on the model kind exactly like
 ``iterate_interpretation``/``construct_by_rounds`` and the CTLK checker do:
-``is_symbolic_model`` routes to the symbolic workers, anything else to the
-explicit ones.  ``max_states`` bounds explicit state materialisation and is
+``is_symbolic_model`` routes to the symbolic carrier, anything else to the
+explicit one.  ``max_states`` bounds explicit state materialisation and is
 ignored symbolically (nothing materialises states there).
 """
 
@@ -330,7 +329,7 @@ def check_implementation(joint_protocol, program, context, require_local=True, m
         return check_implementation_symbolic(
             joint_protocol, program, context, require_local=require_local
         )
-    from repro.interpretation.implementation import check_implementation_explicit
+    from repro.interpretation.explicit import check_implementation_explicit
 
     return check_implementation_explicit(
         joint_protocol, program, context, require_local=require_local, max_states=max_states
@@ -376,27 +375,22 @@ def enumerate_implementations(
     ImplementationSearchResult
     """
     if getattr(context, "is_symbolic_model", False):
-        from repro.interpretation.symbolic import enumerate_implementations_symbolic
+        from repro.interpretation.symbolic import SymbolicSynthesisOps
 
-        return enumerate_implementations_symbolic(
+        ops = SymbolicSynthesisOps(
+            program, context, all_states=all_states, require_local=require_local
+        )
+    else:
+        from repro.interpretation.explicit import ExplicitSynthesisOps
+
+        ops = ExplicitSynthesisOps(
             program,
             context,
             all_states=all_states,
-            max_free_states=max_free_states,
             require_local=require_local,
-            budget=budget,
+            max_states=max_states,
         )
-    from repro.interpretation.search import enumerate_implementations_explicit
-
-    return enumerate_implementations_explicit(
-        program,
-        context,
-        all_states=all_states,
-        max_free_states=max_free_states,
-        require_local=require_local,
-        max_states=max_states,
-        budget=budget,
-    )
+    return run_candidate_search(ops, max_free_states, budget=budget)
 
 
 def classify_program(program, context, **kwargs):

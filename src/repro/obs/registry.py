@@ -3,9 +3,7 @@
 Before this module each caching component named its introspection keys ad
 hoc (``ite_high_water`` here, ``hits`` there, ``set_memo`` elsewhere).
 The schema below fixes one dotted vocabulary; every ``cache_info()``
-implementation now returns the canonical keys and — for one release —
-keeps its historical names as read-only aliases via
-:func:`attach_aliases`.
+implementation returns the canonical keys only.
 
 Canonical vocabulary
 --------------------
@@ -62,7 +60,6 @@ import weakref
 __all__ = [
     "SCHEMA",
     "add_register_hook",
-    "attach_aliases",
     "bdd_metrics",
     "checkpoint",
     "hit_rate",
@@ -101,20 +98,6 @@ SCHEMA = {
     "memo.expressions": "memoised compiled expressions of a variable encoding",
     "memo.relations": "compiled per-agent/transition relations cached",
 }
-
-
-def attach_aliases(info, aliases):
-    """Add the legacy spellings to a canonical ``cache_info()`` dict.
-
-    ``aliases`` maps canonical key → historical key; canonical keys absent
-    from ``info`` are skipped.  Returns ``info`` (mutated) for chaining.
-    The aliases are scheduled for removal one release after every caller
-    has moved to the canonical names.
-    """
-    for canonical, legacy in aliases.items():
-        if canonical in info:
-            info[legacy] = info[canonical]
-    return info
 
 
 def hit_rate(hits, misses):

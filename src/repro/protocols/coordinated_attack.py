@@ -105,10 +105,10 @@ def solve(n=N_GENERALS, method="iterate"):
 def solve_symbolic(n=N_GENERALS, **kwargs):
     """Interpret the program on BDDs — the only practical path at chain
     lengths whose state space (``2^(3n-1)``) defeats enumeration."""
-    from repro.interpretation import construct_by_rounds_symbolic
+    from repro.interpretation import construct_by_rounds
 
     model = symbolic_model(n, **kwargs)
-    return construct_by_rounds_symbolic(program(n), model)
+    return construct_by_rounds(program(n), model)
 
 
 def impossibility_holds(system, n=N_GENERALS):

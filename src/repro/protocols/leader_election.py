@@ -97,10 +97,10 @@ def solve(n=N_NODES, method="rounds"):
 def solve_symbolic(n=N_NODES, **kwargs):
     """Interpret the program on BDDs — the only practical path at ring
     sizes whose state space defeats enumeration."""
-    from repro.interpretation import construct_by_rounds_symbolic
+    from repro.interpretation import construct_by_rounds
 
     model = symbolic_model(n, **kwargs)
-    return construct_by_rounds_symbolic(program(n), model)
+    return construct_by_rounds(program(n), model)
 
 
 def election_is_correct(system, n=N_NODES):

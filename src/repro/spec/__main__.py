@@ -38,7 +38,7 @@ def _reachable_count(spec):
     computed entirely on BDDs.  Falls back to the liberal over-approximation
     (every enabled action taken) when the construction fails."""
     from repro.interpretation import construct_by_rounds
-    from repro.interpretation.symbolic import _reach, _seed_selection
+    from repro.interpretation.symbolic import SymbolicSynthesisOps
 
     model = spec.symbolic_model()
     program = spec.program()
@@ -48,9 +48,8 @@ def _reachable_count(spec):
         )
         return result.system.state_count(), "implementation"
     except Exception:
-        selection = _seed_selection(program, model, "liberal")
-        states, _, _ = _reach(program, model, selection)
-        return model.view(states).state_count(), "liberal over-approximation"
+        universe = SymbolicSynthesisOps(program, model).universe
+        return model.view(universe).state_count(), "liberal over-approximation"
 
 
 def main(argv=None):

@@ -98,7 +98,7 @@ overflow-triggered clears.
 """
 
 from repro import obs as _obs
-from repro.obs.registry import attach_aliases, register_manager
+from repro.obs.registry import register_manager
 from repro.resilience import faults as _faults
 from repro.util.errors import EngineError, VariableOrderError
 
@@ -1094,9 +1094,8 @@ class BDD:
         lookup over the manager's lifetime; ``cache.clears`` counts
         overflow-triggered clears against ``cache.ceiling``;
         ``gc.passes``/``gc.purged`` the rooted-reorder collections; the
-        ``reorder.*`` keys the dynamic-reordering state.  The historical
-        flat keys (``nodes``, ``ite_cache``, ``ite_high_water``, …) and the
-        nested ``reorder_stats`` dict remain as aliases for one release.
+        ``reorder.*`` keys the dynamic-reordering state, which the nested
+        ``reorder_stats`` dict also groups under short names.
         """
         info = {
             "unique.nodes": len(self._var) - 2,
@@ -1127,18 +1126,7 @@ class BDD:
             "last_size": self._last_reorder,
             "trigger": self._auto_trigger,
         }
-        return attach_aliases(
-            info,
-            {
-                "unique.nodes": "nodes",
-                "cache.ite.size": "ite_cache",
-                "cache.op.size": "op_cache",
-                "cache.ite.high_water": "ite_high_water",
-                "cache.op.high_water": "op_high_water",
-                "cache.clears": "cache_clears",
-                "cache.ceiling": "cache_ceiling",
-            },
-        )
+        return info
 
     def clear_operation_caches(self):
         """Drop the ``ite`` and quantify/rename/count memos.

@@ -65,7 +65,6 @@ from repro.modeling.expressions import (
 )
 from repro.modeling.state_space import State
 from repro.modeling.variables import Variable
-from repro.obs.registry import attach_aliases
 from repro.symbolic.bdd import BDD, FALSE, TRUE
 from repro.util.errors import ModelError
 
@@ -534,18 +533,14 @@ class VariableEncoding:
     def cache_info(self):
         """Encoding-level memo sizes merged with the manager's, keyed by
         the canonical schema of :mod:`repro.obs.registry` (``memo.cubes``,
-        ``memo.expressions``); the historical ``cubes`` / ``expressions``
-        keys remain as aliases for one release."""
+        ``memo.expressions``)."""
         info = dict(self.bdd.cache_info())
         info["memo.cubes"] = len(self._cube_memo)
         info["memo.expressions"] = len(self._truth_memo) + len(self._values_memo)
-        return attach_aliases(
-            info,
-            {"memo.cubes": "cubes", "memo.expressions": "expressions"},
-        )
+        return info
 
     def __repr__(self):
         return (
             f"VariableEncoding({len(self.variables)} variables, "
-            f"bits={self.total_bits}, |nodes|={self.bdd.cache_info()['nodes']})"
+            f"bits={self.total_bits}, |nodes|={self.bdd.cache_info()['unique.nodes']})"
         )

@@ -40,7 +40,6 @@ those.  All encodings are memoised: the :class:`SymbolicEncoding` itself
 built once per structure and shared by every evaluator.
 """
 
-from repro.obs.registry import attach_aliases
 from repro.symbolic.bdd import BDD, FALSE, TRUE
 
 __all__ = ["SymbolicEncoding", "encoding_for"]
@@ -273,9 +272,7 @@ class SymbolicEncoding:
     def cache_info(self):
         """Encoding-level cache sizes merged with the manager's, keyed by
         the canonical schema of :mod:`repro.obs.registry` (``memo.sets``,
-        ``memo.masks``, ``memo.relations``); the historical ``set_memo`` /
-        ``mask_memo`` / ``relations`` keys remain as aliases for one
-        release."""
+        ``memo.masks``, ``memo.relations``)."""
         cache = self.structure.engine_cache
         info = dict(self.bdd.cache_info())
         info["memo.sets"] = len(self._set_memo)
@@ -283,19 +280,12 @@ class SymbolicEncoding:
         info["memo.relations"] = sum(
             1 for key in cache if isinstance(key, tuple) and key[0] in ("bdd_rel", "bdd_group")
         )
-        return attach_aliases(
-            info,
-            {
-                "memo.sets": "set_memo",
-                "memo.masks": "mask_memo",
-                "memo.relations": "relations",
-            },
-        )
+        return info
 
     def __repr__(self):
         return (
             f"SymbolicEncoding(|W|={len(self.structure)}, bits={self.bits}, "
-            f"|nodes|={self.bdd.cache_info()['nodes']})"
+            f"|nodes|={self.bdd.cache_info()['unique.nodes']})"
         )
 
 

@@ -55,7 +55,8 @@ into the *existing* evaluation machinery:
     explicit table becomes two BDD operations per guard.
 
 The round-based interpretation loop living on top of these is
-:func:`repro.interpretation.symbolic.construct_by_rounds_symbolic`.
+:func:`repro.interpretation.iteration.construct_by_rounds`, run over
+:class:`repro.interpretation.symbolic.SymbolicConstructionOps`.
 """
 
 import os
@@ -64,7 +65,6 @@ from repro.engine import evaluator_for
 from repro.interpretation.functional import GuardTable
 from repro.modeling.expressions import Expression
 from repro.modeling.state_space import Assignment, State, StateSpace, atom_name
-from repro.obs.registry import attach_aliases
 from repro.symbolic.bdd import FALSE, TRUE
 from repro.symbolic.compile import VariableEncoding
 from repro.systems.actions import NOOP_NAME
@@ -609,7 +609,7 @@ class StateSetEncoding:
     def cache_info(self):
         info = self.base.cache_info()
         info["memo.relations"] = len(self._relations)
-        return attach_aliases(info, {"memo.relations": "relations"})
+        return info
 
 
 class SymbolicStructure:

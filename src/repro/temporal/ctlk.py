@@ -21,7 +21,6 @@ from repro.engine import (
     collect_ready_epistemic,
     resolve_backend,
 )
-from repro.obs.registry import attach_aliases
 from repro.logic.formula import (
     And,
     CommonKnows,
@@ -178,7 +177,8 @@ class CTLKModelChecker:
 
     Constructing a checker on a *symbolic* system (one flagged
     ``is_symbolic_system`` — the output of
-    :func:`repro.interpretation.symbolic.construct_by_rounds_symbolic`)
+    :func:`repro.interpretation.iteration.construct_by_rounds` on a
+    symbolic model)
     transparently returns a
     :class:`repro.temporal.symbolic.SymbolicCTLKModelChecker` instead, which
     runs the same fixed points as BDD pre-images without enumerating a
@@ -242,21 +242,12 @@ class CTLKModelChecker:
         canonical schema of :mod:`repro.obs.registry`: ``memo.formulas``
         counts entries, ``cache.hits``/``cache.misses`` the
         :meth:`extension` lookups (recursive subformula lookups included —
-        shared subformulas show up as hits).  The historical ``formulas`` /
-        ``hits`` / ``misses`` keys remain as aliases for one release."""
-        info = {
+        shared subformulas show up as hits)."""
+        return {
             "memo.formulas": len(self._cache),
             "cache.hits": self._hits,
             "cache.misses": self._misses,
         }
-        return attach_aliases(
-            info,
-            {
-                "memo.formulas": "formulas",
-                "cache.hits": "hits",
-                "cache.misses": "misses",
-            },
-        )
 
     def holds(self, state, formula):
         """Return ``True`` iff ``formula`` holds at the reachable ``state``."""

@@ -3,8 +3,8 @@
 :class:`SymbolicCTLKModelChecker` is the enumeration-free twin of
 :class:`repro.temporal.ctlk.CTLKModelChecker`: it checks the same CTLK
 language over a :class:`repro.interpretation.symbolic.SymbolicSystem` — the
-output of :func:`~repro.interpretation.symbolic.construct_by_rounds_symbolic`
-— without ever materialising a :class:`~repro.modeling.state_space.State`:
+output of :func:`~repro.interpretation.iteration.construct_by_rounds` on a
+symbolic model — without ever materialising a :class:`~repro.modeling.state_space.State`:
 
 * every extension is a world-set BDD over the system's reachable set;
 * ``EX φ`` is one pre-image ``∃x'. R(x, x') ∧ φ(x')`` — an ``and_exists``
@@ -40,7 +40,6 @@ from repro.engine import (
     collect_ready_epistemic,
     resolve_backend,
 )
-from repro.obs.registry import attach_aliases
 from repro.logic.formula import (
     And,
     CommonKnows,
@@ -137,22 +136,12 @@ class SymbolicCTLKModelChecker:
         canonical schema of :mod:`repro.obs.registry`: ``memo.formulas``
         counts entries, ``cache.hits``/``cache.misses`` the
         :meth:`extension_node` lookups (recursive subformula lookups
-        included — shared subformulas show up as hits).  The historical
-        ``formulas`` / ``hits`` / ``misses`` keys remain as aliases for one
-        release."""
-        info = {
+        included — shared subformulas show up as hits)."""
+        return {
             "memo.formulas": len(self._cache),
             "cache.hits": self._hits,
             "cache.misses": self._misses,
         }
-        return attach_aliases(
-            info,
-            {
-                "memo.formulas": "formulas",
-                "cache.hits": "hits",
-                "cache.misses": "misses",
-            },
-        )
 
     # -- evaluation --------------------------------------------------------------------
 

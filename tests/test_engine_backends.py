@@ -396,33 +396,33 @@ class TestEvaluatorCaching:
     def test_cache_info_reports_cache_sizes(self, backend_name, two_agent_structure):
         evaluator = Evaluator(two_agent_structure, backend_by_name(backend_name))
         info = evaluator.cache_info()
-        assert info["formulas"] == 0 and info["frozensets"] == 0
+        assert info["memo.formulas"] == 0 and info["memo.frozensets"] == 0
         assert isinstance(info["backend"], dict)
         formula = Knows("a", Or((Prop("p"), Prop("q"))))
         evaluator.extension(formula)
         info = evaluator.cache_info()
         # K[a](p|q), p|q, p, q all cached; only the queried root materialised.
-        assert info["formulas"] == 4
-        assert info["frozensets"] == 1
+        assert info["memo.formulas"] == 4
+        assert info["memo.frozensets"] == 1
         evaluator.clear_cache()
         info = evaluator.cache_info()
-        assert info["formulas"] == 0 and info["frozensets"] == 0
+        assert info["memo.formulas"] == 0 and info["memo.frozensets"] == 0
 
     def test_bdd_cache_info_exposes_shared_apply_caches(self, two_agent_structure):
         evaluator = Evaluator(two_agent_structure, backend_by_name("bdd"))
         evaluator.extension(Knows("a", Prop("p")))
         before = evaluator.cache_info()["backend"]
-        assert before["nodes"] > 0
-        assert before["ite_cache"] + before["op_cache"] > 0
+        assert before["unique.nodes"] > 0
+        assert before["cache.ite.size"] + before["cache.op.size"] > 0
         evaluator.clear_cache()
         after = evaluator.cache_info()["backend"]
         # The operation memos are dropped (including the mask codec memos,
         # which grow with every distinct world-set a long-lived evaluator
         # touches), the unique table survives, and previously computed
         # world-set values stay valid.
-        assert after["ite_cache"] == 0 and after["op_cache"] == 0
-        assert after["set_memo"] == 0 and after["mask_memo"] == 0
-        assert after["nodes"] == before["nodes"]
+        assert after["cache.ite.size"] == 0 and after["cache.op.size"] == 0
+        assert after["memo.sets"] == 0 and after["memo.masks"] == 0
+        assert after["unique.nodes"] == before["unique.nodes"]
         reference = Evaluator(two_agent_structure, FrozensetBackend())
         formula = Knows("a", Prop("p"))
         assert evaluator.extension(formula) == reference.extension(formula)

@@ -350,7 +350,7 @@ class TestProtocolSignatureDeterminism:
         # identical protocols could produce different signatures and the
         # fixed-point test ``derived_signature == protocol_signature`` could
         # fail (or succeed) nondeterministically.
-        from repro.interpretation.iteration import _protocol_signature
+        from repro.interpretation.explicit import _protocol_signature
         from repro.systems.protocols import JointProtocol, Protocol
 
         class StubContext:
@@ -376,7 +376,7 @@ class TestProtocolSignatureDeterminism:
         assert first == second
 
     def test_signature_orders_by_value_not_repr(self):
-        from repro.interpretation.iteration import _protocol_signature
+        from repro.interpretation.explicit import _protocol_signature
         from repro.systems.protocols import JointProtocol, Protocol
 
         class StubContext:

@@ -323,10 +323,10 @@ def test_construct_round_events_symbolic():
     assert all("cache_hit_rate" in attrs for attrs in rounds)
 
 
-# -- metric schema and aliases -------------------------------------------------------
+# -- metric schema -----------------------------------------------------------------
 
 
-def test_bdd_cache_info_canonical_keys_and_aliases():
+def test_bdd_cache_info_canonical_keys():
     from repro.symbolic.bdd import BDD
 
     bdd = BDD(4)
@@ -336,8 +336,6 @@ def test_bdd_cache_info_canonical_keys_and_aliases():
     info = bdd.cache_info()
     assert info["cache.ite.hits"] >= 1
     assert info["cache.ite.misses"] >= 1
-    assert info["unique.nodes"] == info["nodes"]  # alias preserved
-    assert info["cache.ite.size"] == info["ite_cache"]
     assert info["cache.ite.high_water"] >= info["cache.ite.size"]
     assert "reorder.count" in info and "reorder_stats" in info
 
@@ -351,7 +349,6 @@ def test_evaluator_high_water_survives_clear_cache(two_agent_structure):
     info = evaluator.cache_info()
     high_water = info["memo.formulas.high_water"]
     assert high_water == info["memo.formulas"] > 0
-    assert info["formulas"] == info["memo.formulas"]  # alias
     evaluator.clear_cache()
     info = evaluator.cache_info()
     assert info["memo.formulas"] == 0
@@ -377,9 +374,7 @@ def test_registry_bdd_metrics_delta():
     del bdd
 
 
-def test_attach_aliases_and_hit_rate():
-    info = obs_registry.attach_aliases({"memo.cubes": 3}, {"memo.cubes": "cubes"})
-    assert info == {"memo.cubes": 3, "cubes": 3}
+def test_hit_rate():
     assert obs_registry.hit_rate(3, 1) == 0.75
     assert obs_registry.hit_rate(0, 0) is None
 
@@ -390,9 +385,7 @@ def test_encoding_cache_info_canonical(two_agent_structure):
     encoding = encoding_for(two_agent_structure)
     encoding.worlds_node(list(two_agent_structure.worlds)[:2])
     info = encoding.cache_info()
-    assert info["memo.sets"] == info["set_memo"]
-    assert info["memo.masks"] == info["mask_memo"]
-    assert info["memo.relations"] == info["relations"]
+    assert {"memo.sets", "memo.masks", "memo.relations"} <= set(info)
 
 
 def test_fuzz_timing_percentiles():

@@ -253,6 +253,93 @@ def test_explicit_construct_kill_and_resume():
     assert set(resumed.system.states) == set(fresh.system.states)
 
 
+@pytest.mark.parametrize("cap", [20, 40])
+def test_explicit_construct_max_states_mid_round_resumes_to_fresh_result(cap):
+    # The cap trips in the middle of a round; the partial must be the last
+    # completed round, not a half-applied one, so resuming it without the
+    # cap reaches the fresh result.
+    context = mc.context(4)
+    program = mc.program(4).check_against_context(context)
+    with pytest.raises(IterationLimitError) as caught:
+        construct_by_rounds(program, context, max_states=cap)
+    assert caught.value.reason == "states"
+    partial = caught.value.partial
+    assert partial.kind == "construct_by_rounds"
+    resumed = construct_by_rounds(program, context, resume=partial)
+    fresh = construct_by_rounds(program, context)
+    assert len(fresh.system.states) == 90 and fresh.verified
+    assert len(resumed.system.states) == 90 and resumed.verified
+    assert resumed.iterations == fresh.iterations
+    assert set(resumed.system.states) == set(fresh.system.states)
+
+
+class _CancelAt:
+    """An obs sink cancelling ``token`` when the event ``name`` carries
+    ``key == value``: the next safe point after that event raises."""
+
+    def __init__(self, token, name, key, value):
+        self.token = token
+        self.match = (name, key, value)
+
+    def emit(self, record):
+        name, key, value = self.match
+        if record["name"] == name and record["attrs"].get(key) == value:
+            self.token.cancel()
+
+
+def _reachable(system):
+    node = getattr(system, "states_node", None)
+    return node if node is not None else frozenset(system.states)
+
+
+_INNER_SAFE_POINT_CASES = {
+    "construct-explicit": (
+        construct_by_rounds, lambda: mc.context(4), lambda: mc.program(4),
+        ("construct.round", "round", 2),
+    ),
+    "construct-symbolic": (
+        construct_by_rounds, lambda: mc.symbolic_model(4), lambda: mc.program(4),
+        ("construct.round", "round", 2),
+    ),
+    "iterate-explicit": (
+        iterate_interpretation, vs.context, vs.PROGRAM_FAMILY["cyclic"][0],
+        ("fixpoint.iter", "iteration", 2),
+    ),
+    "iterate-symbolic": (
+        iterate_interpretation, vs.symbolic_model, vs.PROGRAM_FAMILY["cyclic"][0],
+        ("fixpoint.iter", "iteration", 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INNER_SAFE_POINT_CASES))
+def test_inner_safe_point_raise_carries_resumable_partial(case):
+    # A cancellation noticed inside a round/iteration (at an evaluator
+    # batch, not at the loop boundary) must still hand back the last
+    # completed round/iteration, and resuming it must reach the fresh result.
+    loop, make_context, make_program, event = _INNER_SAFE_POINT_CASES[case]
+    context = make_context()
+    program = make_program().check_against_context(context)
+    token = CancellationToken()
+    sink = obs.add_sink(_CancelAt(token, *event))
+    try:
+        with pytest.raises(BudgetExceededError) as caught:
+            loop(program, context, budget=Budget(token=token))
+    finally:
+        obs.remove_sink(sink)
+    assert caught.value.reason == "cancelled"
+    assert caught.value.site == "evaluator.batch"
+    partial = caught.value.partial
+    assert isinstance(partial, PartialProgress)
+    resumed = loop(program, context, resume=partial)
+    fresh = loop(program, context)
+    assert resumed.converged == fresh.converged
+    assert resumed.verified == fresh.verified
+    assert resumed.iterations == fresh.iterations
+    assert resumed.cycle_length == fresh.cycle_length
+    assert _reachable(resumed.system) == _reachable(fresh.system)
+
+
 def test_explicit_iterate_kill_and_resume():
     context = vs.context()
     program = vs.PROGRAM_FAMILY["cyclic"][0]()

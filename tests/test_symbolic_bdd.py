@@ -249,11 +249,11 @@ class TestObservability:
         f = m.iff(m.var(0), m.or_(m.var(1), m.var(2)))
         g = m.exists(f, (1,))
         before = m.cache_info()
-        assert before["ite_cache"] + before["op_cache"] > 0
+        assert before["cache.ite.size"] + before["cache.op.size"] > 0
         m.clear_operation_caches()
         info = m.cache_info()
-        assert info["ite_cache"] == 0 and info["op_cache"] == 0
-        assert info["nodes"] == before["nodes"]
+        assert info["cache.ite.size"] == 0 and info["cache.op.size"] == 0
+        assert info["unique.nodes"] == before["unique.nodes"]
         # Identical recomputation lands on the identical ids.
         assert m.exists(f, (1,)) == g
 

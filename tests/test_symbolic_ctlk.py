@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.interpretation import construct_by_rounds, iterate_interpretation
-from repro.interpretation.iteration import _protocol_signature
+from repro.interpretation.explicit import _protocol_signature
 from repro.logic.formula import (
     And,
     CommonKnows,
@@ -185,12 +185,12 @@ class TestSymbolicCheckerBoundary:
         formula = AG(mc.knows_own_status(0))
         checker.extension_node(formula)
         info = checker.cache_info()
-        assert info["formulas"] >= 1
-        misses = info["misses"]
+        assert info["memo.formulas"] >= 1
+        misses = info["cache.misses"]
         checker.extension_node(formula)
         after = checker.cache_info()
-        assert after["hits"] == info["hits"] + 1
-        assert after["misses"] == misses
+        assert after["cache.hits"] == info["cache.hits"] + 1
+        assert after["cache.misses"] == misses
 
     def test_scales_past_explicit_enumeration(self):
         n = 14

@@ -473,10 +473,10 @@ class TestCacheCeilings:
             for j in range(8):
                 node = manager.or_(node, manager.and_(variables[i], manager.not_(variables[j])))
         info = manager.cache_info()
-        assert info["cache_ceiling"] == 64
-        assert info["cache_clears"] > 0
-        assert info["ite_cache"] < 64
-        assert info["ite_high_water"] >= info["ite_cache"]
+        assert info["cache.ceiling"] == 64
+        assert info["cache.clears"] > 0
+        assert info["cache.ite.size"] < 64
+        assert info["cache.ite.high_water"] >= info["cache.ite.size"]
 
     def test_results_survive_overflow(self):
         bounded = BDD(6, cache_ceiling=16)
@@ -506,9 +506,9 @@ class TestCacheCeilings:
         before = manager.cache_info()
         manager.clear_operation_caches()
         after = manager.cache_info()
-        assert after["ite_cache"] == 0 and after["op_cache"] == 0
-        assert after["ite_high_water"] >= before["ite_cache"]
-        assert after["op_high_water"] >= before["op_cache"]
+        assert after["cache.ite.size"] == 0 and after["cache.op.size"] == 0
+        assert after["cache.ite.high_water"] >= before["cache.ite.size"]
+        assert after["cache.op.high_water"] >= before["cache.op.size"]
 
 
 # -- pruned constrained enumeration ----------------------------------------------------
