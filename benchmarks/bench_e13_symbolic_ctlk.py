@@ -38,7 +38,7 @@ from repro.protocols import dining_cryptographers as dc
 from repro.protocols import muddy_children as mc
 from repro.temporal import AF, AG
 from repro.temporal.ctlk import CTLKModelChecker
-from repro.temporal.symbolic import SymbolicCTLKModelChecker
+from repro.temporal.symbolic import SymbolicCTLKOps
 
 #: Reachable states of the dining-cryptographers system by ring size: the
 #: ``n + 1`` payer choices x ``2^n`` coin patterns, before and after the
@@ -53,7 +53,7 @@ def _muddy_ctlk(n):
     result = construct_by_rounds(mc.program(n).check_against_context(model), model)
     assert result.verified is True
     checker = CTLKModelChecker(result.system)
-    assert isinstance(checker, SymbolicCTLKModelChecker)
+    assert isinstance(checker.ops, SymbolicCTLKOps)
     group = tuple(mc.child(i) for i in range(n))
     said_all = disj([mc.said_prop(i) for i in range(n)])
     someone_muddy = disj([mc.muddy_prop(i) for i in range(n)])

@@ -282,7 +282,8 @@ def construct_by_rounds(
     symbolic path, the final rung of the mitigation ladder runs here: when
     the model's universe is enumerable (``state_space.size() <= max_states``)
     the construction falls back to the explicit ops and re-runs under the
-    same budget instead of propagating the raise.
+    budget's deadline, token and ``max_iterations`` (without its node
+    ceiling) instead of propagating the raise.
     """
     _validate_agents(program)
     symbolic = getattr(context, "is_symbolic_model", False)
@@ -304,8 +305,10 @@ def construct_by_rounds(
             raise
         # Final ladder rung: the symbolic diagram blew past its node ceiling
         # but the universe is small enough to enumerate — start over with
-        # the explicit ops under the same budget (whose node ceiling no
-        # longer binds).
+        # the explicit ops under the same deadline, token and iteration
+        # ceiling.  The node ceiling is dropped: it would otherwise arm the
+        # BDD managers the explicit evaluator builds under the "bdd"
+        # world-set backend.
         if _obs.ENABLED:
             _obs.event(
                 "resilience.mitigate",
@@ -317,7 +320,7 @@ def construct_by_rounds(
         ops = ExplicitConstructionOps(
             program, context.explicit_context(), require_local, max_states
         )
-        return _construct(ops, max_rounds, verify, budget, None)
+        return _construct(ops, max_rounds, verify, effective.without_node_limit(), None)
 
 
 def _construct(ops, max_rounds, verify, budget, resume):

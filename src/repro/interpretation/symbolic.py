@@ -709,7 +709,7 @@ class SymbolicSystem:
     ``extension_node``).  When built with the frozen protocol ``selection``
     (every system the symbolic ops build carries one) the system also
     compiles its own transition relation (:meth:`transition_node`), which is
-    what :class:`repro.temporal.symbolic.SymbolicCTLKModelChecker` iterates;
+    what :class:`repro.temporal.symbolic.SymbolicCTLKOps` iterates;
     run generation and the structural predicates of the explicit class need
     materialised transitions and are out of scope.
     """
@@ -779,7 +779,7 @@ class SymbolicSystem:
         """The (memoised) transition-relation BDD of the system over
         current/primed variable pairs, restricted to reachable states on
         both sides and *totalised*: deadlock states get an identity
-        self-loop, matching the explicit checker's path-quantification
+        self-loop, matching the explicit CTLK ops' path-quantification
         convention.
 
         Assembled exactly like one :meth:`SymbolicContextModel.successors`

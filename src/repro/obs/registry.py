@@ -21,7 +21,7 @@ Canonical vocabulary
     drop entries, not history).
 ``cache.hits`` / ``cache.misses``
     Lookup accounting of a non-kernel memoising component (the evaluator's
-    extension cache, the CTLK checkers' formula caches).
+    extension cache, the CTLK checker's formula memo).
 ``cache.clears``
     How often a bounded cache was dropped (overflow clears in the kernel;
     explicit ``clear_cache`` calls elsewhere).

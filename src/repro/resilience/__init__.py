@@ -13,7 +13,7 @@ long-running computation in the engine with a cooperative :class:`Budget`:
 
 A budget is installed as a context manager (ambient, per thread) or passed
 as a per-call ``budget=`` keyword to the governed entry points
-(``construct_by_rounds``, ``iterate_interpretation``, the CTLK checkers,
+(``construct_by_rounds``, ``iterate_interpretation``, the CTLK checker,
 the synthesis search, the spec fuzzer)::
 
     from repro import resilience
@@ -46,7 +46,8 @@ per rung:
 3. **raise** ``BudgetExceededError(reason="nodes")`` with the partial
    result.  ``construct_by_rounds`` adds a fourth rung above the raise:
    when the model's universe is enumerable, it falls back from the
-   symbolic to the explicit backend and re-runs under the same budget.
+   symbolic to the explicit backend and re-runs under the same deadline,
+   token and iteration ceiling (:meth:`Budget.without_node_limit`).
 
 Near-zero cost when disabled
 ----------------------------
@@ -259,6 +260,21 @@ class Budget:
     def _start_clock(self):
         if self.wall_seconds is not None and self.deadline is None:
             self.deadline = time.perf_counter() + self.wall_seconds
+
+    def without_node_limit(self):
+        """A budget with this one's absolute deadline, token and iteration
+        ceiling but no node ceiling — for work that leaves the BDD path (the
+        explicit fallback), where any diagram the work still builds must
+        not trip a ceiling meant for the abandoned one."""
+        budget = Budget(
+            wall_seconds=self.wall_seconds,
+            max_iterations=self.max_iterations,
+            token=self.token,
+            check_interval=self.check_interval,
+        )
+        self._start_clock()
+        budget.deadline = self.deadline
+        return budget
 
     def _arm_managers(self, budget):
         for manager in _registry.live_managers():

@@ -9,9 +9,13 @@ over the finite transition systems generated by protocols.
 
 * temporal operator constructors: :class:`EX`, :class:`EF`, :class:`EG`,
   :class:`EU`, :class:`AX`, :class:`AF`, :class:`AG`, :class:`AU`;
-* :class:`repro.temporal.ctlk.CTLKModelChecker` — explicit-state model
-  checking by the standard fixed-point algorithms, with knowledge evaluated
-  over the reachable states;
+* :class:`repro.temporal.ctlk.CTLKModelChecker` — model checking by the
+  standard fixed-point algorithms, with knowledge evaluated over the
+  reachable states.  The checker is written once over a small ops object
+  that holds the state sets: :class:`repro.temporal.ctlk.ExplicitCTLKOps`
+  (frozensets of enumerated states) or, for symbolic systems,
+  :class:`repro.temporal.symbolic.SymbolicCTLKOps` (BDDs, no state ever
+  enumerated);
 * convenience wrappers :func:`repro.temporal.ctlk.check_valid` (truth at all
   initial states) and :func:`repro.temporal.ctlk.check_reachable`.
 """

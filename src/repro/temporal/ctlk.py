@@ -11,29 +11,33 @@ Deadlock states (no outgoing transition) are given an implicit self-loop so
 that path quantification is total; the library's example systems either are
 total or end in stable "finished" states where this convention is the
 intended reading.
+
+:class:`CTLKModelChecker` is written once over a small ops object that
+supplies the state-set representation: :class:`ExplicitCTLKOps` (frozensets
+of enumerated states, defined here) or
+:class:`repro.temporal.symbolic.SymbolicCTLKOps` (BDDs, for the systems
+:func:`repro.interpretation.iteration.construct_by_rounds` builds from a
+symbolic model).
 """
+
+import operator
+from functools import reduce
 
 from repro import obs as _obs
 from repro import resilience as _res
 from repro.engine import (
-    apply_epistemic,
     apply_epistemic_many,
     collect_ready_epistemic,
     resolve_backend,
 )
 from repro.logic.formula import (
     And,
-    CommonKnows,
-    DistributedKnows,
-    EveryoneKnows,
     FalseFormula,
     Formula,
     Iff,
     Implies,
-    Knows,
     Not,
     Or,
-    Possible,
     Prop,
     TrueFormula,
 )
@@ -157,7 +161,7 @@ class AU(_BinaryTemporal):
 
 
 class CTLKModelChecker:
-    """Explicit-state CTLK model checking over an interpreted system.
+    """CTLK model checking over an interpreted system.
 
     Temporal operators are computed by the standard fixed-point algorithms
     over the (totalised) transition relation; epistemic operators are
@@ -169,37 +173,197 @@ class CTLKModelChecker:
     ambient default changes between queries (e.g. a
     :func:`repro.engine.use_backend` context exiting mid-lifetime).
 
+    The state sets come from an ops object picked by the system: a symbolic
+    system (flagged ``is_symbolic_system`` — the output of
+    :func:`repro.interpretation.iteration.construct_by_rounds` on a symbolic
+    model) gets :class:`repro.temporal.symbolic.SymbolicCTLKOps`, which
+    accepts only the ``"bdd"`` backend and never enumerates a state; any
+    other system gets :class:`ExplicitCTLKOps`.  The ops supply ``universe``
+    and ``empty``, the set algebra (``and_``, ``or_``, ``diff``, ``xor``),
+    ``prop``, the pre-image ``pre_exists`` and the two fixed points ``eu``
+    and ``eg``; every other operator is derived here, once.
+
     Before a formula is evaluated, the uncached epistemic nodes of its DAG
     are resolved in *batches*: nodes are grouped by ``(operator,
     agent/group)`` (innermost modalities first, so operands — possibly
     temporal — are always evaluable) and each group goes through one backend
-    ``*_many`` call, one stacked pass on the matrix backend.
-
-    Constructing a checker on a *symbolic* system (one flagged
-    ``is_symbolic_system`` — the output of
-    :func:`repro.interpretation.iteration.construct_by_rounds` on a
-    symbolic model)
-    transparently returns a
-    :class:`repro.temporal.symbolic.SymbolicCTLKModelChecker` instead, which
-    runs the same fixed points as BDD pre-images without enumerating a
-    single state.
+    ``*_many`` call.
     """
 
-    def __new__(cls, system, backend=None):
-        if cls is CTLKModelChecker and getattr(system, "is_symbolic_system", False):
-            # Lazy import: the explicit checker must not drag in the symbolic
-            # stack (and the returned object, not being an instance of this
-            # class, skips __init__ below).
-            from repro.temporal.symbolic import _symbolic_checker
+    def __init__(self, system, backend=None):
+        self.system = system
+        self._memo = {}
+        self._hits = 0
+        self._misses = 0
+        if getattr(system, "is_symbolic_system", False):
+            # Lazy import: explicit checking never loads the symbolic stack.
+            from repro.temporal.symbolic import SymbolicCTLKOps
 
-            return _symbolic_checker(system, backend)
-        return super().__new__(cls)
+            self.ops = SymbolicCTLKOps(system, backend, self._memo)
+        else:
+            self.ops = ExplicitCTLKOps(system, backend)
+        self.backend = self.ops.backend
+
+    # -- public API ------------------------------------------------------------------
+
+    def extension_node(self, formula):
+        """The set of reachable states satisfying ``formula`` in the ops'
+        representation: a frozenset of states, or a BDD node id.
+
+        Extensions are memoised per formula node across all queries —
+        structural equality of formulas makes the memo a DAG cache, so a
+        subformula shared between separate queries is computed once (see
+        :meth:`cache_info`)."""
+        cached = self._memo.get(formula)
+        if cached is not None:
+            self._hits += 1
+            return cached
+        self._misses += 1
+        self._prefetch_epistemic(formula)
+        # A top-level epistemic formula is already memoised by the prefetch;
+        # recomputing it would pay the modal image a second time.
+        result = self._memo.get(formula)
+        if result is None:
+            result = self._memo[formula] = self._evaluate(formula)
+        return result
+
+    def extension(self, formula):
+        """Return the frozenset of reachable states satisfying ``formula``
+        (on a symbolic system this enumerates the extension)."""
+        return self.ops.states_of(self.extension_node(formula))
+
+    def cache_info(self):
+        """Observability of the per-formula extension memo, keyed by the
+        canonical schema of :mod:`repro.obs.registry`: ``memo.formulas``
+        counts entries, ``cache.hits``/``cache.misses`` the
+        :meth:`extension_node` lookups (recursive subformula lookups
+        included — shared subformulas show up as hits)."""
+        return {
+            "memo.formulas": len(self._memo),
+            "cache.hits": self._hits,
+            "cache.misses": self._misses,
+        }
+
+    def holds(self, state, formula):
+        """Return ``True`` iff ``formula`` holds at the reachable ``state``."""
+        ops = self.ops
+        if not ops.contains(ops.universe, state):
+            raise ModelError(f"state {state!r} is not reachable in the checked system")
+        return ops.contains(self.extension_node(formula), state)
+
+    def valid(self, formula):
+        """Return ``True`` iff ``formula`` holds at every initial state."""
+        extension = self.extension_node(formula)
+        return self.ops.diff(self.ops.initial(), extension) == self.ops.empty
+
+    def reachable(self, formula):
+        """Return ``True`` iff some reachable state satisfies ``formula``."""
+        return self.extension_node(formula) != self.ops.empty
+
+    def witness_state(self, formula):
+        """Return some reachable state satisfying ``formula`` (or ``None``)."""
+        return self.ops.witness(self.extension_node(formula))
+
+    # -- evaluation ------------------------------------------------------------------
+
+    def _evaluate(self, formula):
+        """One formula node over the ops.  The children's extensions are
+        memoised first, so what follows is set algebra plus fixed-point
+        loops whose arguments are the only unmemoised values alive — a sift
+        at a loop's safe point roots all of them.  Epistemic nodes never get
+        here: :meth:`_prefetch_epistemic` memoises all of them first."""
+        ops = self.ops
+        universe = ops.universe
+        kids = [self.extension_node(child) for child in formula.children()]
+        if isinstance(formula, TrueFormula):
+            return universe
+        if isinstance(formula, FalseFormula):
+            return ops.empty
+        if isinstance(formula, Prop):
+            return ops.prop(formula.name)
+        if isinstance(formula, Not):
+            return ops.diff(universe, kids[0])
+        if isinstance(formula, And):
+            return reduce(ops.and_, kids, universe)
+        if isinstance(formula, Or):
+            return reduce(ops.or_, kids, ops.empty)
+        if isinstance(formula, Implies):
+            return ops.or_(ops.diff(universe, kids[0]), kids[1])
+        if isinstance(formula, Iff):
+            return ops.diff(universe, ops.xor(*kids))
+        if isinstance(formula, EX):
+            return ops.pre_exists(kids[0])
+        if isinstance(formula, AX):
+            # AX phi == not EX not phi (exact: the relation is totalised)
+            return ops.diff(universe, ops.pre_exists(ops.diff(universe, kids[0])))
+        if isinstance(formula, EF):
+            return ops.eu(universe, kids[0])
+        if isinstance(formula, AG):
+            # AG phi == not EF not phi
+            return ops.diff(universe, ops.eu(universe, ops.diff(universe, kids[0])))
+        if isinstance(formula, EU):
+            return ops.eu(*kids)
+        if isinstance(formula, EG):
+            return ops.eg(kids[0])
+        if isinstance(formula, AF):
+            # AF phi == not EG not phi
+            return ops.diff(universe, ops.eg(ops.diff(universe, kids[0])))
+        if isinstance(formula, AU):
+            # A[phi U psi] == not (E[!psi U (!phi & !psi)] | EG !psi), with the
+            # EG disjunct folded into the until target (E[a U b] | EG a ==
+            # E[a U (b | EG a)]) so the first loop's result is an argument of
+            # the second instead of an unrooted value alive across it.
+            left, right = kids
+            not_right = ops.diff(universe, right)
+            bad = ops.or_(ops.eg(not_right), ops.diff(not_right, left))
+            return ops.diff(universe, ops.eu(not_right, bad))
+        raise FormulaError(f"cannot model check unknown formula node {formula!r}")
+
+    def _prefetch_epistemic(self, formula):
+        """Resolve the uncached epistemic nodes of the formula DAG in batched
+        backend calls, innermost modalities first.
+
+        Each pass collects the epistemic nodes whose (uncached part of the)
+        operand contains no further epistemic node — their operands, temporal
+        or not, can be evaluated without any epistemic dispatch — groups them
+        by ``(operator, agent/group)``, and applies each group through one
+        ``*_many`` backend call.  Results land in the memo, so the
+        subsequent :meth:`_evaluate` walk finds every epistemic extension
+        precomputed."""
+        ops = self.ops
+        is_cached = self._memo.__contains__
+        while True:
+            groups = {}
+            collect_ready_epistemic(formula, is_cached, groups, {})
+            if not groups:
+                return
+            structure = self.system.structure
+            for nodes in groups.values():
+                inners = [
+                    ops.to_world_set(structure, self.extension_node(node.operand))
+                    for node in nodes
+                ]
+                results = apply_epistemic_many(self.backend, structure, nodes, inners)
+                for node, result in zip(nodes, results):
+                    self._memo[node] = ops.from_world_set(structure, result)
+
+
+class ExplicitCTLKOps:
+    """Explicit state sets for :class:`CTLKModelChecker`: every extension is
+    a frozenset of reachable states, and the transition relation is kept as
+    successor/predecessor maps totalised with deadlock self-loops."""
+
+    empty = frozenset()
+    and_ = staticmethod(operator.and_)
+    or_ = staticmethod(operator.or_)
+    diff = staticmethod(operator.sub)
+    xor = staticmethod(operator.xor)
 
     def __init__(self, system, backend=None):
         self.system = system
         self.backend = resolve_backend(backend)
         self._states = list(system.states)
-        self._state_set = set(self._states)
+        self.universe = frozenset(self._states)
         relation = system.transition_system.transition_relation()
         successors = {state: set() for state in self._states}
         predecessors = {state: set() for state in self._states}
@@ -211,186 +375,41 @@ class CTLKModelChecker:
             if not successors[state]:
                 successors[state].add(state)
                 predecessors[state].add(state)
-        self._successors = successors
-        self._predecessors = predecessors
-        self._cache = {}
-        self._hits = 0
-        self._misses = 0
+        self.successors = successors
+        self.predecessors = predecessors
 
-    # -- public API ------------------------------------------------------------------
+    def initial(self):
+        return frozenset(self.system.initial_states)
 
-    def extension(self, formula):
-        """Return the set of reachable states satisfying ``formula``.
+    def prop(self, name):
+        labelling = self.system.context.labelling
+        return frozenset(s for s in self._states if name in labelling(s))
 
-        Extensions are memoised per formula node across ``extension``/
-        ``holds``/``valid`` calls — structural equality of formulas makes
-        the memo a DAG cache, so a subformula shared between separate
-        queries is computed once (see :meth:`cache_info`)."""
-        if formula not in self._cache:
-            self._misses += 1
-            self._prefetch_epistemic(formula)
-            # A top-level epistemic formula is already cached by the prefetch;
-            # recomputing it would pay the modal image a second time.
-            if formula not in self._cache:
-                self._cache[formula] = frozenset(self._evaluate(formula))
-        else:
-            self._hits += 1
-        return self._cache[formula]
+    @staticmethod
+    def contains(states, state):
+        return state in states
 
-    def cache_info(self):
-        """Observability of the per-formula extension memo, keyed by the
-        canonical schema of :mod:`repro.obs.registry`: ``memo.formulas``
-        counts entries, ``cache.hits``/``cache.misses`` the
-        :meth:`extension` lookups (recursive subformula lookups included —
-        shared subformulas show up as hits)."""
-        return {
-            "memo.formulas": len(self._cache),
-            "cache.hits": self._hits,
-            "cache.misses": self._misses,
-        }
+    @staticmethod
+    def states_of(states):
+        return states
 
-    def holds(self, state, formula):
-        """Return ``True`` iff ``formula`` holds at the reachable ``state``."""
-        if state not in self._state_set:
-            raise ModelError(f"state {state!r} is not reachable in the checked system")
-        return state in self.extension(formula)
+    def witness(self, states):
+        return next((s for s in self._states if s in states), None)
 
-    def valid(self, formula):
-        """Return ``True`` iff ``formula`` holds at every initial state."""
-        ext = self.extension(formula)
-        return all(state in ext for state in self.system.initial_states)
+    def to_world_set(self, structure, states):
+        return self.backend.from_worlds(structure, states)
 
-    def reachable(self, formula):
-        """Return ``True`` iff some reachable state satisfies ``formula``."""
-        return bool(self.extension(formula))
-
-    def witness_state(self, formula):
-        """Return some reachable state satisfying ``formula`` (or ``None``)."""
-        ext = self.extension(formula)
-        for state in self._states:
-            if state in ext:
-                return state
-        return None
-
-    # -- evaluation ------------------------------------------------------------------
-
-    def _evaluate(self, formula):
-        states = set(self._states)
-        if isinstance(formula, TrueFormula):
-            return states
-        if isinstance(formula, FalseFormula):
-            return set()
-        if isinstance(formula, Prop):
-            return {s for s in states if formula.name in self.system.context.labelling(s)}
-        if isinstance(formula, Not):
-            return states - self.extension(formula.operand)
-        if isinstance(formula, And):
-            result = set(states)
-            for operand in formula.operands:
-                result &= self.extension(operand)
-            return result
-        if isinstance(formula, Or):
-            result = set()
-            for operand in formula.operands:
-                result |= self.extension(operand)
-            return result
-        if isinstance(formula, Implies):
-            return (states - self.extension(formula.antecedent)) | self.extension(
-                formula.consequent
-            )
-        if isinstance(formula, Iff):
-            left = self.extension(formula.left)
-            right = self.extension(formula.right)
-            return (left & right) | ((states - left) & (states - right))
-        if isinstance(
-            formula, (Knows, Possible, EveryoneKnows, CommonKnows, DistributedKnows)
-        ):
-            return self._evaluate_epistemic(formula)
-        if isinstance(formula, EX):
-            return self._pre_exists(self.extension(formula.operand))
-        if isinstance(formula, EF):
-            return self._least_fixpoint_eu(set(states), self.extension(formula.operand))
-        if isinstance(formula, EU):
-            return self._least_fixpoint_eu(
-                self.extension(formula.left), self.extension(formula.right)
-            )
-        if isinstance(formula, EG):
-            return self._greatest_fixpoint_eg(self.extension(formula.operand))
-        if isinstance(formula, AX):
-            target = self.extension(formula.operand)
-            return {s for s in states if self._successors[s] <= target}
-        if isinstance(formula, AF):
-            # AF phi == not EG not phi
-            return states - self._greatest_fixpoint_eg(states - self.extension(formula.operand))
-        if isinstance(formula, AG):
-            # AG phi == not EF not phi
-            return states - self._least_fixpoint_eu(
-                set(states), states - self.extension(formula.operand)
-            )
-        if isinstance(formula, AU):
-            # A[phi U psi] == not (E[!psi U (!phi & !psi)] | EG !psi)
-            left = self.extension(formula.left)
-            right = self.extension(formula.right)
-            not_right = states - right
-            bad_until = self._least_fixpoint_eu(not_right, not_right - left)
-            bad_globally = self._greatest_fixpoint_eg(not_right)
-            return states - (bad_until | bad_globally)
-        raise FormulaError(f"cannot model check unknown formula node {formula!r}")
-
-    def _evaluate_epistemic(self, formula):
-        """Evaluate an epistemic operator whose operand may itself be a CTLK
-        formula: the operand's extension is computed first and the knowledge
-        relation of the system's structure is applied to it through the
-        checker's pinned world-set backend (the structure's worlds are
-        exactly the reachable states, so checker state-sets convert
-        losslessly).  This is the scalar path; epistemic nodes reached
-        through :meth:`extension` are normally resolved in batches by
-        :meth:`_prefetch_epistemic` before evaluation gets here."""
-        structure = self.system.structure
-        backend = self.backend
-        inner = backend.from_worlds(structure, self.extension(formula.operand))
-        result = apply_epistemic(backend, structure, formula, inner)
+    def from_world_set(self, structure, world_set):
         # Restrict to the checker's states: a duck-typed system may expose a
         # knowledge structure over more worlds than the checked state space.
-        return backend.to_frozenset(structure, result) & self._state_set
+        return self.backend.to_frozenset(structure, world_set) & self.universe
 
-    def _prefetch_epistemic(self, formula):
-        """Resolve the uncached epistemic nodes of the formula DAG in batched
-        backend calls, innermost modalities first.
-
-        Each pass collects the epistemic nodes whose (uncached part of the)
-        operand contains no further epistemic node — their operands, temporal
-        or not, can be evaluated without any epistemic dispatch — groups them
-        by ``(operator, agent/group)``, and applies each group through one
-        ``*_many`` backend call.  Results land in the checker cache, so the
-        subsequent :meth:`_evaluate` walk finds every epistemic extension
-        precomputed."""
-        structure = self.system.structure
-        backend = self.backend
-        is_cached = self._cache.__contains__
-        while True:
-            groups = {}
-            collect_ready_epistemic(formula, is_cached, groups, {})
-            if not groups:
-                return
-            for nodes in groups.values():
-                inners = [
-                    backend.from_worlds(structure, self.extension(node.operand))
-                    for node in nodes
-                ]
-                results = apply_epistemic_many(backend, structure, nodes, inners)
-                for node, result in zip(nodes, results):
-                    self._cache[node] = (
-                        backend.to_frozenset(structure, result) & self._state_set
-                    )
-
-    # -- fixed points -------------------------------------------------------------------
-
-    def _pre_exists(self, target):
+    def pre_exists(self, target):
         """States with some successor in ``target``."""
-        return {s for s in self._states if self._successors[s] & target}
+        successors = self.successors
+        return frozenset(s for s in self._states if not successors[s].isdisjoint(target))
 
-    def _least_fixpoint_eu(self, hold, target):
+    def eu(self, hold, target):
         """Standard backward fixed point for ``E[hold U target]``."""
         result = set(target)
         frontier = list(target)
@@ -404,7 +423,7 @@ class CTLKModelChecker:
                 if bud is not None:
                     bud.tick("fixpoint.iter")
             state = frontier.pop()
-            for predecessor in self._predecessors[state]:
+            for predecessor in self.predecessors[state]:
                 if predecessor in result:
                     continue
                 if predecessor in hold or predecessor in target:
@@ -418,9 +437,9 @@ class CTLKModelChecker:
                 iterations=processed,
                 result=len(result),
             )
-        return result
+        return frozenset(result)
 
-    def _greatest_fixpoint_eg(self, hold):
+    def eg(self, hold):
         """Greatest fixed point for ``EG hold`` by successor-count deletion.
 
         Each candidate state tracks how many of its successors are still in
@@ -428,15 +447,13 @@ class CTLKModelChecker:
         infinite ``hold`` path and is deleted, decrementing the counts of its
         predecessors inside the set.  Every edge is examined at most twice
         (once to initialise the counts, at most once on deletion), so the
-        fixed point is linear in the transition relation — the previous
-        implementation rescanned the whole candidate set until stable, which
-        is quadratic on chain-shaped systems.
+        fixed point is linear in the transition relation.
         """
         result = set(hold)
         counts = {}
         dead = []
         for state in result:
-            count = sum(1 for successor in self._successors[state] if successor in result)
+            count = sum(1 for successor in self.successors[state] if successor in result)
             counts[state] = count
             if not count:
                 dead.append(state)
@@ -449,7 +466,7 @@ class CTLKModelChecker:
                     bud.tick("fixpoint.iter")
             state = dead.pop()
             result.discard(state)
-            for predecessor in self._predecessors[state]:
+            for predecessor in self.predecessors[state]:
                 if predecessor in result:
                     counts[predecessor] -= 1
                     if not counts[predecessor]:
@@ -462,7 +479,7 @@ class CTLKModelChecker:
                 iterations=deleted,
                 result=len(result),
             )
-        return result
+        return frozenset(result)
 
 
 def check_valid(system, formula):

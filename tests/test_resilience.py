@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro import obs, resilience
+from repro.engine import get_default_backend, use_backend
 from repro.interpretation import (
     construct_by_rounds,
     enumerate_implementations,
@@ -421,26 +422,51 @@ def test_ctlk_symbolic_cancellation():
 # -- the mitigation ladder ---------------------------------------------------------------
 
 
-def test_mitigation_ladder_reorder_then_fallback():
+def _bt_under_absurd_node_ceiling(**budget_options):
     model = bt.symbolic_model()
     program = bt.program().check_against_context(model)
-    sink = _record_events()
-    try:
-        budget = Budget(node_limit=4, node_slack=1.0, check_interval=1)
-        result = construct_by_rounds(program, model, budget=budget)
-    finally:
-        obs.remove_sink(sink)
-    # The ceiling is absurd for any BDD, but the universe is enumerable:
-    # the ladder ends in the explicit backend and the construction succeeds.
-    assert result.verified
-    assert type(result.system).__name__ == "InterpretedSystem"
-    steps = [
+    budget = Budget(node_limit=4, node_slack=1.0, check_interval=1, **budget_options)
+    return construct_by_rounds(program, model, budget=budget)
+
+
+def _ladder_steps(sink):
+    return [
         record["attrs"]["step"]
         for record in sink.records
         if record["name"] == "resilience.mitigate"
     ]
-    assert "reorder" in steps
-    assert steps[-1] == "fallback"
+
+
+def test_mitigation_ladder_reorder_then_fallback():
+    # The ceiling is absurd for any BDD, but the universe is enumerable:
+    # the ladder ends in the explicit backend and the construction succeeds.
+    # Under the "bdd" world-set backend the explicit evaluator builds BDD
+    # managers of its own, which the abandoned node ceiling must not govern.
+    for backend in (get_default_backend().name, "bdd"):
+        sink = _record_events()
+        try:
+            with use_backend(backend):
+                result = _bt_under_absurd_node_ceiling()
+        finally:
+            obs.remove_sink(sink)
+        assert result.verified
+        assert type(result.system).__name__ == "InterpretedSystem"
+        steps = _ladder_steps(sink)
+        assert "reorder" in steps
+        assert steps[-1] == "fallback"
+
+
+def test_fallback_keeps_the_iteration_ceiling():
+    sink = _record_events()
+    try:
+        with pytest.raises(BudgetExceededError) as caught:
+            _bt_under_absurd_node_ceiling(max_iterations=1)
+    finally:
+        obs.remove_sink(sink)
+    assert caught.value.reason == "iterations"
+    # The raise comes from the explicit re-run, after the fallback rung.
+    assert caught.value.partial.kind == "construct_by_rounds"
+    assert _ladder_steps(sink)[-1] == "fallback"
 
 
 def test_mitigation_disabled_raises_immediately():
@@ -463,7 +489,7 @@ def test_fallback_respects_max_states():
 
 
 def test_rooted_reorder_declares_encoding_groups():
-    model = mc.symbolic_model(4)  # built with reordering off: no groups yet
+    model = mc.spec(4).symbolic_model(reorder=False)  # reordering off: no groups yet
     bdd = model.encoding.bdd
     assert bdd.variable_groups() is None
     resilience.rooted_reorder(

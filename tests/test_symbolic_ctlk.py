@@ -23,10 +23,14 @@ from repro.interpretation.explicit import _protocol_signature
 from repro.logic.formula import (
     And,
     CommonKnows,
+    DistributedKnows,
+    EveryoneKnows,
     Iff,
     Implies,
     Knows,
     Not,
+    Or,
+    Possible,
     Prop,
     TrueFormula,
     disj,
@@ -35,11 +39,12 @@ from repro.protocols import bit_transmission as bt
 from repro.protocols import dining_cryptographers as dc
 from repro.protocols import muddy_children as mc
 from repro.protocols import variable_setting as vs
+from repro.resilience.faults import FaultInjector, check_kernel_invariants
 from repro.symbolic import BDD
 from repro.symbolic.model import SymbolicContextModel
 from repro.temporal import AF, AG, AU, AX, EF, EG, EU, EX
 from repro.temporal.ctlk import CTLKModelChecker, check_reachable, check_valid
-from repro.temporal.symbolic import SymbolicCTLKModelChecker
+from repro.temporal.symbolic import SymbolicCTLKOps
 from repro.util.errors import (
     EngineError,
     InterpretationError,
@@ -61,6 +66,12 @@ def _battery(base, agent, group):
         AG(Knows(agent, first)),
         AF(CommonKnows(group, first)),
         AG(Implies(first, EF(last))),
+        # Epistemic over temporal: the shared batched prefetch evaluates
+        # temporal operands on both representations.
+        Knows(agent, EF(last)),
+        Possible(agent, EG(first)),
+        EveryoneKnows(group, AX(first)),
+        DistributedKnows(group, EU(first, last)),
     ]
     return formulas
 
@@ -128,7 +139,8 @@ class TestSymbolicCtlkAgreesWithExplicit:
         symbolic = construct_by_rounds(program, model).system
         explicit_checker = CTLKModelChecker(explicit)
         symbolic_checker = CTLKModelChecker(symbolic)
-        assert isinstance(symbolic_checker, SymbolicCTLKModelChecker)
+        assert type(symbolic_checker) is CTLKModelChecker
+        assert isinstance(symbolic_checker.ops, SymbolicCTLKOps)
         for formula in formulas:
             assert symbolic_checker.extension(formula) == explicit_checker.extension(
                 formula
@@ -160,8 +172,8 @@ class TestSymbolicCheckerBoundary:
 
     def test_dispatch_is_transparent(self, muddy3):
         checker = CTLKModelChecker(muddy3)
-        assert isinstance(checker, SymbolicCTLKModelChecker)
-        assert isinstance(checker, CTLKModelChecker) is False
+        assert type(checker) is CTLKModelChecker
+        assert isinstance(checker.ops, SymbolicCTLKOps)
 
     def test_non_bdd_backends_are_rejected(self, muddy3):
         with pytest.raises(EngineError):
@@ -462,3 +474,28 @@ class TestModelLevelReordering:
         ):
             assert sifted.valid(formula) == plain.valid(formula)
             assert sifted.extension(formula) == plain.extension(formula)
+
+    def test_sift_at_every_fixpoint_iteration_keeps_live_values(self):
+        # A reorder requested at every CTLK safe point collects whatever
+        # the checker holds without rooting it; compound formulas whose
+        # fresh intermediates (a conjunction, an implication's antecedent,
+        # AU's first loop) stay alive across a fixed-point loop must still
+        # agree with an unsifted twin and leave the kernel consistent.
+        n = 3
+        program = mc.program(n)
+        plain = CTLKModelChecker(construct_by_rounds(program, mc.symbolic_model(n)).system)
+        said = [mc.said_prop(i) for i in range(n)]
+        muddy = [mc.muddy_prop(i) for i in range(n)]
+        plan = [("fixpoint.iter", k, "reorder_request") for k in range(1, 400)]
+        for formula in (
+            AU(Or((muddy[0], Not(said[1]))), And((said[0], muddy[2]))),
+            And((muddy[0], Not(said[1]), EF(And((said[2], muddy[1]))))),
+            Implies(Or((muddy[1], said[2])), AF(And((said[1], said[2])))),
+        ):
+            model = SymbolicContextModel(**mc.context_parts(n), reorder=True)
+            sifted = CTLKModelChecker(construct_by_rounds(program, model).system)
+            with FaultInjector(plan) as injector:
+                extension = sifted.extension(formula)
+            assert injector.fired
+            assert extension == plain.extension(formula), formula
+            check_kernel_invariants(model.encoding.bdd)

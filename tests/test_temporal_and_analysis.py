@@ -149,7 +149,7 @@ class TestGreatestFixpointEG:
             while changed:
                 changed = False
                 for state in list(result):
-                    if not (checker._successors[state] & result):
+                    if not (checker.ops.successors[state] & result):
                         result.discard(state)
                         changed = True
             return result
@@ -159,7 +159,7 @@ class TestGreatestFixpointEG:
         for density in (0.0, 0.25, 0.5, 0.75, 1.0):
             for _ in range(10):
                 hold = {state for state in states if rng.random() <= density}
-                assert checker._greatest_fixpoint_eg(hold) == naive(hold)
+                assert checker.ops.eg(hold) == naive(hold)
 
     def test_eg_chain_without_loops_is_empty(self):
         # On a pure chain only the (totalised, self-looping) last state can
@@ -179,7 +179,7 @@ class TestGreatestFixpointEG:
         system = represent(context, JointProtocol({"a": constant_protocol("a", {"inc"})}))
         checker = CTLKModelChecker(system)
         prefix = checker.extension(parse("!(x=5)"))
-        assert checker._greatest_fixpoint_eg(set(prefix)) == set()
+        assert checker.ops.eg(set(prefix)) == set()
         assert checker.extension(EG(parse("x=5"))) == {
             state for state in system.states if state["x"] == 5
         }
