@@ -29,7 +29,7 @@ from repro.interpretation.functional import (
     derive_protocol,
     guard_table,
 )
-from repro.interpretation.synthesis import ImplementationReport
+from repro.interpretation.synthesis import ImplementationReport, _state_key
 from repro.systems.interpreted_system import InterpretedSystem, represent
 from repro.systems.protocols import JointProtocol, Protocol
 from repro.systems.transition_system import TransitionSystem
@@ -257,40 +257,28 @@ def check_implementation_explicit(
     return ImplementationReport(not differences, system, derived, differences)
 
 
-def _full_state_space(context, all_states):
-    if all_states is not None:
-        return list(all_states)
-    spec = getattr(context, "spec", None)
-    if spec is None:
-        raise InterpretationError(
-            "exhaustive search needs the full global state space: pass all_states= "
-            "or use a variable-based context"
-        )
-    return list(spec.state_space.states())
-
-
 class ExplicitSynthesisOps:
     """Enumerated-state primitives for
-    :func:`repro.interpretation.synthesis.run_candidate_search`: candidates
-    are frozensets of states drawn from the full global state space (which
-    a variable-based context provides, or ``all_states`` overrides),
-    derivation tabulates protocols over a :class:`StateSetView`, and
-    generation is :func:`repro.systems.interpreted_system.represent`."""
+    :func:`repro.interpretation.synthesis.run_candidate_search`: the
+    universe and the candidates are frozensets of states (an ``all_states``
+    override is de-duplicated into one), the free states are ordered by
+    their structural sort key, derivation tabulates protocols over a
+    :class:`StateSetView`, and generation is
+    :func:`repro.systems.interpreted_system.represent`."""
 
     def __init__(self, program, context, all_states=None, require_local=True, max_states=100000):
         self.program = program
         self.context = context
         self.require_local = require_local
         self.max_states = max_states
-        states = _full_state_space(context, all_states)
-        self.initial_set = frozenset(dict.fromkeys(context.initial_states))
-        self.free = [state for state in states if state not in self.initial_set]
+        self.universe = None if all_states is None else frozenset(all_states)
+        self.initial_set = frozenset(context.initial_states)
 
-    def free_count(self):
-        return len(self.free)
+    def free_count(self, universe):
+        return len(universe - self.initial_set)
 
-    def free_states(self):
-        return self.free
+    def free_states(self, universe):
+        return sorted(universe - self.initial_set, key=_state_key)
 
     def candidate(self, extra):
         return self.initial_set | frozenset(extra)

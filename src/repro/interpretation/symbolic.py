@@ -37,10 +37,9 @@ ops of the same algorithms.
     selection signatures over the occupied classes — behavioural equality
     without enumerating a single local state;
 :class:`SymbolicSynthesisOps`
-    the exhaustive search's primitives: the candidate universe is the
-    reachable set of the *liberal* protocol (complete — every
-    implementation's selections are a subset of the liberal ones, so its
-    reachable set is too), candidates are that universe's subset BDDs
+    the exhaustive search's primitives: candidates are subset BDDs of the
+    candidate universe (by default the liberal-reachable set, computed by
+    :func:`repro.interpretation.synthesis.run_candidate_search`)
     containing the initial states, and the fixed-point filter
     ``reach(P_R) = R`` is canonical node-id equality;
 :func:`derive_protocol_symbolic`
@@ -55,7 +54,7 @@ protocol BDDs have a few thousand nodes).
 """
 
 from repro import obs as _obs
-from repro.interpretation.functional import _fallback_set, guard_table, liberal_protocol
+from repro.interpretation.functional import _fallback_set, guard_table
 from repro.interpretation.synthesis import ImplementationReport
 from repro.obs.registry import hit_rate
 from repro.symbolic.bdd import FALSE, TRUE
@@ -631,16 +630,11 @@ class SymbolicSynthesisOps:
     """BDD primitives for
     :func:`repro.interpretation.synthesis.run_candidate_search`.
 
-    The candidate universe (``universe``) defaults to the reachable set of
-    the *liberal* protocol (all program-mentioned actions, fallback
-    included, at every class).  This restriction is complete: any
-    implementation's derived selections come from clause actions and the
-    fallback, hence are a pointwise subset of the liberal selection, so its
-    transition relation — and with it its reachable set — is contained in
-    the liberal one.  ``all_states`` may override the universe with an
-    iterable of states or a state-set BDD node.  Candidates are subset BDDs
-    of the universe containing the initial states, and because the ROBDD
-    kernel is canonical, the fixed-point filter ``reach(P_R) = R`` and the
+    An ``all_states`` override of the candidate universe may be an iterable
+    of states or a state-set BDD node; without one the search defaults to
+    the liberal-reachable set.  Candidates are subset BDDs of the universe
+    containing the initial states, and because the ROBDD kernel is
+    canonical, the fixed-point filter ``reach(P_R) = R`` and the
     behavioural dedupe are both plain node-id comparisons.
     """
 
@@ -648,31 +642,28 @@ class SymbolicSynthesisOps:
         for agent in program.agents:
             program.program(agent)  # validate agents exist in the program
         self.program = program
-        self.model = model
+        self.context = self.model = model
         self.require_local = require_local
         encoding = model.encoding
-        bdd = encoding.bdd
-        if all_states is None:
-            universe, _, _ = _candidate_reach(
-                model, program, liberal_protocol(program, model)
-            )
-        elif isinstance(all_states, int):  # a state-set BDD node
-            universe = all_states
+        if all_states is None or isinstance(all_states, int):  # default or a BDD node
+            self.universe = all_states
         else:
-            universe = FALSE
+            self.universe = FALSE
             for state in all_states:
-                universe = bdd.or_(universe, encoding.state_node(state))
-        self.universe = universe
-        self._free_node = bdd.diff(universe, model.initial)
+                self.universe = encoding.bdd.or_(self.universe, encoding.state_node(state))
 
-    def free_count(self):
+    def _free_node(self, universe):
+        return self.model.encoding.bdd.diff(universe, self.model.initial)
+
+    def free_count(self, universe):
         # A BDD model count — the oversized-universe guard never enumerates.
-        return self.model.encoding.count(self._free_node)
+        return self.model.encoding.count(self._free_node(universe))
 
-    def free_states(self):
+    def free_states(self, universe):
         encoding = self.model.encoding
         return [
-            encoding.state_node(state) for state in encoding.iter_states(self._free_node)
+            encoding.state_node(state)
+            for state in encoding.iter_states(self._free_node(universe))
         ]
 
     def candidate(self, extra):

@@ -39,6 +39,7 @@ from itertools import combinations
 
 from repro import obs as _obs
 from repro import resilience as _res
+from repro.interpretation.functional import liberal_protocol
 from repro.util.errors import InterpretationError
 from repro.util.helpers import stable_sort_key
 
@@ -224,26 +225,29 @@ class ImplementationSearchResult:
 def run_candidate_search(ops, max_free_states, budget=None):
     """The exhaustive search over one carrier's primitives.
 
-    ``ops`` supplies the representation: ``free_count()``/``free_states()``
-    (the non-initial states of the candidate universe — counted before they
-    are enumerated, so an oversized symbolic universe is rejected without
-    enumerating it), ``candidate(extra)`` (initial states plus a chosen
-    subset), ``derive(candidate)`` (the functional over the candidate's
-    epistemic structure; :class:`InterpretationError` skips the candidate —
-    a non-local guard means it cannot be an implementation's reachable
-    set), ``represent(protocol)`` (generate the system, returning it with a
+    The candidate universe is ``ops.universe`` (the caller's ``all_states=``
+    override, already in the carrier's representation) or, when that is
+    ``None``, the reachable set of the *liberal* protocol (every
+    program-mentioned action at every local state).  The default is
+    complete: an implementation's derived selections are clause actions or
+    the fallback, hence a pointwise subset of the liberal selection, so its
+    reachable set lies inside the liberal one.  It is computed here, under
+    ``budget``, with the carrier's own ``represent``.
+
+    ``ops`` supplies the representation: ``program``/``context`` (what the
+    liberal protocol is built from), ``universe``,
+    ``free_count(universe)``/``free_states(universe)`` (the non-initial
+    states of the universe, in a stable order — counted before they are
+    enumerated, so an oversized universe is rejected without enumerating
+    it), ``candidate(extra)`` (initial states plus a chosen subset),
+    ``derive(candidate)`` (the functional over the candidate's epistemic
+    structure; :class:`InterpretationError` skips the candidate — a
+    non-local guard means it cannot be an implementation's reachable set),
+    ``represent(protocol)`` (generate the system, returning it with a
     handle on its reachable set), ``matches(reachable, candidate)`` (the
     fixed-point test ``reach(P_R) = R``) and ``key(reachable)`` (a hashable
     dedupe key — behaviourally equal implementations share one).
     """
-    count = ops.free_count()
-    if count > max_free_states:
-        raise InterpretationError(
-            f"search space too large: {count} non-initial states "
-            f"(limit {max_free_states}); raise max_free_states to force the search"
-        )
-    free = ops.free_states()
-
     implementations = []
     seen_reachable_sets = set()
     candidates_checked = 0
@@ -258,9 +262,17 @@ def run_candidate_search(ops, max_free_states, budget=None):
             implementations=list(implementations),
         )
 
-    with _res.activate(budget) as bud, _obs.span(
-        "synthesis.search", free_states=len(free)
-    ):
+    with _res.activate(budget) as bud, _obs.span("synthesis.search"):
+        universe = ops.universe
+        if universe is None:
+            _, universe = ops.represent(liberal_protocol(ops.program, ops.context))
+        count = ops.free_count(universe)
+        if count > max_free_states:
+            raise InterpretationError(
+                f"search space too large: {count} non-initial states "
+                f"(limit {max_free_states}); raise max_free_states to force the search"
+            )
+        free = ops.free_states(universe)
         for size in range(len(free) + 1):
             for extra in combinations(free, size):
                 if bud is not None:
@@ -300,6 +312,7 @@ def run_candidate_search(ops, max_free_states, budget=None):
         )
         _obs.event(
             "synthesis.search",
+            free_states=len(free),
             candidates=candidates_checked,
             implementations=len(implementations),
             pruned_nonlocal=pruned_nonlocal,
@@ -358,13 +371,11 @@ def enumerate_implementations(
     Parameters
     ----------
     all_states:
-        The candidate universe.  Explicitly: the full global state space
-        (defaults to the state space of a variable-based context).
-        Symbolically: defaults to the reachable set of the *liberal*
-        protocol — complete, because every implementation's selections are
-        a subset of the liberal ones, so its reachable set is too; an
-        explicit universe may be passed as an iterable of states or a
-        state-set BDD node.
+        Overrides the candidate universe, which defaults to the reachable
+        set of the *liberal* protocol in both representations — complete,
+        because every implementation's selections are a subset of the
+        liberal ones, so its reachable set is too.  An iterable of states
+        (repeats are ignored); symbolically also a state-set BDD node.
     max_free_states:
         Upper bound on the number of non-initial candidate states (the
         search is exponential in this number); exceeding it raises

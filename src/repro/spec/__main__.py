@@ -37,7 +37,7 @@ def _reachable_count(spec):
     """The reachable-state count of the main program's implementation,
     computed entirely on BDDs.  Falls back to the liberal over-approximation
     (every enabled action taken) when the construction fails."""
-    from repro.interpretation import construct_by_rounds
+    from repro.interpretation import construct_by_rounds, liberal_protocol
     from repro.interpretation.symbolic import SymbolicSynthesisOps
 
     model = spec.symbolic_model()
@@ -48,8 +48,9 @@ def _reachable_count(spec):
         )
         return result.system.state_count(), "implementation"
     except Exception:
-        universe = SymbolicSynthesisOps(program, model).universe
-        return model.view(universe).state_count(), "liberal over-approximation"
+        liberal = liberal_protocol(program, model)
+        system, _ = SymbolicSynthesisOps(program, model).represent(liberal)
+        return system.state_count(), "liberal over-approximation"
 
 
 def main(argv=None):

@@ -23,7 +23,12 @@ from repro.interpretation import (
 )
 from repro.logic import parse
 from repro.programs import AgentProgram, Clause, KnowledgeBasedProgram
-from repro.protocols import bit_transmission, muddy_children, variable_setting
+from repro.protocols import (
+    bit_transmission,
+    muddy_children,
+    sequence_transmission,
+    variable_setting,
+)
 from repro.systems import represent
 from repro.systems.actions import NOOP_NAME
 from repro.util.errors import InterpretationError
@@ -448,6 +453,16 @@ class TestSearch:
             enumerate_implementations(
                 bit_transmission.program(), context, max_free_states=3
             )
+
+    def test_search_without_variable_based_context(self):
+        # The liberal-reachable universe needs no full global state space.
+        result = enumerate_implementations(
+            sequence_transmission.kb_program(1), sequence_transmission.kb_context(1)
+        )
+        assert result.classification == "unique"
+        assert result.candidates_checked == 16
+        solved = sequence_transmission.solve_kb(1).system
+        assert frozenset(solved.states) in result.reachable_sets()
 
     def test_every_found_implementation_is_a_fixed_point(self, vs_context):
         for name, (factory, _) in variable_setting.PROGRAM_FAMILY.items():

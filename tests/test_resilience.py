@@ -404,6 +404,27 @@ def test_synthesis_search_budget_tick():
     assert caught.value.partial.kind == "synthesis.search"
 
 
+@pytest.mark.parametrize("symbolic", [False, True], ids=["explicit", "symbolic"])
+def test_synthesis_universe_built_under_the_callers_budget(monkeypatch, symbolic):
+    from repro.interpretation.explicit import ExplicitSynthesisOps
+    from repro.interpretation.symbolic import SymbolicSynthesisOps
+
+    ops_class = SymbolicSynthesisOps if symbolic else ExplicitSynthesisOps
+    represent = ops_class.represent
+    installed = []
+
+    def spy(self, protocol):
+        installed.append(resilience.current_budget())
+        return represent(self, protocol)
+
+    monkeypatch.setattr(ops_class, "represent", spy)
+    budget = Budget(wall_seconds=60)
+    context = vs.symbolic_model() if symbolic else vs.context()
+    enumerate_implementations(vs.PROGRAM_FAMILY["cyclic"][0](), context, budget=budget)
+    # The first represent call builds the liberal-reachable universe.
+    assert installed and installed[0] is budget
+
+
 def test_ctlk_symbolic_cancellation():
     from repro.temporal import EF
     from repro.temporal.ctlk import CTLKModelChecker

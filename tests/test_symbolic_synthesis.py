@@ -4,8 +4,8 @@ The search/check layer dispatches on model kind
 (:mod:`repro.interpretation.synthesis`): handed a
 :class:`repro.symbolic.model.SymbolicContextModel`, the fixed-point test
 compares protocols by class-BDD node-id signatures and the exhaustive
-search enumerates candidate reachable sets as BDDs restricted to the
-liberal-reachable universe.  These tests pin the two carriers to each
+search enumerates candidate reachable sets as BDDs.  Both searches draw
+their candidates from the same liberal-reachable universe.  These tests pin the two carriers to each
 other — classification, implementation sets, check verdicts and even the
 reported differences must agree on the paper's examples, under every
 registered world-set backend — plus the deterministic ordering of
@@ -67,26 +67,24 @@ class TestSearchAgreement:
             symbolic = enumerate_implementations(factory(), vs.symbolic_model())
         assert explicit.classification == expected
         assert symbolic.classification == expected
+        assert explicit.candidates_checked == symbolic.candidates_checked
         # Same reachable sets in the same (deterministically tie-broken)
         # order — lists, not sets: the ordering is part of the contract.
         assert [
             _x_values(states) for states in explicit.reachable_sets()
         ] == [_x_values(states) for states in symbolic.reachable_sets()]
 
-    def test_bit_transmission_unique_implementation(self):
-        # One head-to-head under the default backend: the explicit search
-        # enumerates all 2^14 candidate subsets of the global state space
-        # here, so cross-backend coverage of the search loop is left to the
-        # (small) variable-setting family above.
-        explicit = enumerate_implementations(bt.program(), bt.context())
-        symbolic = enumerate_implementations(bt.program(), bt.symbolic_model())
+    @all_backends
+    def test_bit_transmission_unique_implementation(self, backend_name):
+        with use_backend(backend_name):
+            explicit = enumerate_implementations(bt.program(), bt.context())
+            symbolic = enumerate_implementations(bt.program(), bt.symbolic_model())
         assert explicit.classification == symbolic.classification == "unique"
         exp_protocol, exp_system = explicit.unique()
         sym_protocol, sym_system = symbolic.unique()
         assert frozenset(exp_system.states) == frozenset(sym_system.iter_states())
-        # The symbolic candidate universe (liberal-reachable) is far
-        # smaller than the full state space the explicit search sweeps.
-        assert symbolic.candidates_checked < explicit.candidates_checked
+        # Both representations search the same liberal-reachable universe.
+        assert explicit.candidates_checked == symbolic.candidates_checked
         # The unique implementations behave identically at every arising
         # local state.
         assert _local_behaviours(exp_protocol, exp_system) == _local_behaviours(
@@ -103,22 +101,39 @@ class TestSearchAgreement:
         assert isinstance(result, ImplementationSearchResult)
         assert result.classification == "unique"
 
-    def test_symbolic_universe_override(self):
-        # Passing the explicit global state space as the candidate universe
-        # must not change the outcome (the liberal-reachable default is a
-        # subset of it containing every implementation's reachable set).
-        model = vs.symbolic_model()
+    @staticmethod
+    def _assert_override_agrees(make_context):
+        # Passing the full global state space as the candidate universe must
+        # not change the outcome (the liberal-reachable default is a subset
+        # of it containing every implementation's reachable set).
         spec_states = list(vs.context().spec.state_space.states())
-        default = enumerate_implementations(vs.PROGRAM_FAMILY["cyclic"][0](), model)
+        default = enumerate_implementations(vs.PROGRAM_FAMILY["cyclic"][0](), make_context())
         overridden = enumerate_implementations(
-            vs.PROGRAM_FAMILY["cyclic"][0](),
-            vs.symbolic_model(),
-            all_states=spec_states,
+            vs.PROGRAM_FAMILY["cyclic"][0](), make_context(), all_states=spec_states
         )
         assert default.classification == overridden.classification == "multiple"
         assert [
             _x_values(states) for states in default.reachable_sets()
         ] == [_x_values(states) for states in overridden.reachable_sets()]
+
+    def test_symbolic_universe_override(self):
+        self._assert_override_agrees(vs.symbolic_model)
+
+    def test_explicit_universe_override(self):
+        self._assert_override_agrees(vs.context)
+
+    def test_repeated_override_states_count_once(self):
+        spec_states = list(vs.context().spec.state_space.states())
+        explicit, symbolic = (
+            enumerate_implementations(
+                vs.PROGRAM_FAMILY["cyclic"][0](), context, all_states=spec_states * 2
+            )
+            for context in (vs.context(), vs.symbolic_model())
+        )
+        assert explicit.candidates_checked == symbolic.candidates_checked == 8
+        assert [_x_values(states) for states in explicit.reachable_sets()] == [
+            _x_values(states) for states in symbolic.reachable_sets()
+        ]
 
     def test_symbolic_search_size_limit(self):
         with pytest.raises(InterpretationError, match="search space too large"):
