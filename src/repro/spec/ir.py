@@ -156,6 +156,28 @@ class ProtocolSpec:
         self.source = source
         self._space = None
 
+    def copy(self):
+        """A fresh spec with containers of its own.
+
+        The dicts (``observables``, ``actions`` and every action table,
+        ``env_effects``, ``programs`` and every program table, ``params``)
+        are new; the immutable leaves (variables, effects, expressions,
+        clauses) are shared.
+        """
+        return ProtocolSpec(
+            name=self.name,
+            variables=self.variables,
+            observables=self.observables,
+            actions=self.actions,
+            initial=self.initial,
+            env_effects=self.env_effects,
+            global_constraint=self.global_constraint,
+            variable_order=self.variable_order,
+            programs=self.programs,
+            params=self.params,
+            source=self.source,
+        )
+
     # -- structure ---------------------------------------------------------
 
     @property

@@ -54,6 +54,12 @@ class Context:
         to prune inadmissible behaviours when enumerating runs; ``None``
         accepts everything.  This models the paper's ``Psi`` for the bounded
         analyses performed by the library.
+
+    The callbacks are called afresh on every query: a ``Context`` memoises
+    nothing, because hand-written callbacks are not guaranteed to be pure.
+    Contexts built by :func:`repro.systems.variable_context.variable_context`
+    are, and memoise ``transition``, ``local_state`` and ``labelling`` in
+    their own closures.
     """
 
     def __init__(

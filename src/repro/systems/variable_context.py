@@ -17,7 +17,18 @@ The transition function applies the environment effect first and then every
 agent's effect, all reading the *pre-round* state (so effects within a round
 do not observe each other); writes to the same variable by different
 participants must be avoided by the modeller and are reported as errors.
+
+A variable context computes each derived fact once: the transition
+function, the local-state projection and the labelling are pure functions of
+the global state (and joint action), so their closures memoise every answer
+for the lifetime of the context.  This is why the model's tables are frozen
+when the context is built (see :class:`VariableContextSpec`) and why an
+``extra_labels`` callback must be a pure function of the state.  The generic
+:class:`repro.systems.context.Context` memoises nothing, since hand-written
+callbacks need not be pure.
 """
+
+from types import MappingProxyType
 
 from repro.modeling.expressions import Expression
 from repro.modeling.state_space import Assignment, StateSpace
@@ -39,6 +50,11 @@ class VariableContextSpec:
     admissibility predicate and extra-label function — so that
     :func:`repro.symbolic.model.compile_context` can rebuild the context as
     BDDs without enumerating anything.
+
+    ``observables``, ``actions`` (with every per-agent action table) and
+    ``env_effects`` are read-only views: they are the very tables the
+    context's memoised closures read, so they must not change after the
+    context is built.
     """
 
     def __init__(
@@ -55,9 +71,11 @@ class VariableContextSpec:
         extra_labels=None,
     ):
         self.state_space = state_space
-        self.observables = observables
-        self.actions = actions
-        self.env_effects = env_effects
+        self.observables = MappingProxyType(observables)
+        self.actions = MappingProxyType(
+            {agent: MappingProxyType(table) for agent, table in actions.items()}
+        )
+        self.env_effects = MappingProxyType(env_effects)
         self.initial_states = initial_states
         self.initial_condition = initial_condition
         self.global_constraint = global_constraint
@@ -152,7 +170,9 @@ def variable_context(
         Optional predicate on finite state sequences (the paper's ``Psi``).
     extra_labels:
         Optional ``state -> iterable of extra proposition names`` merged into
-        the variable labelling (useful for derived predicates).
+        the variable labelling (useful for derived predicates).  It must be
+        a pure function of the state: each state's labelling is computed
+        once and memoised, as are its local states and transitions.
 
     Returns
     -------
@@ -203,7 +223,14 @@ def variable_context(
     if not initial_states:
         raise ModelError("no initial states satisfy the initial condition")
 
-    def transition(state, joint_action):
+    # Memos of the three pure callbacks below (see the module docstring).
+    # Failing transitions are not stored, so a write conflict or a
+    # constraint violation raises on every call.
+    transitions = {}
+    local_states = {}
+    labellings = {}
+
+    def apply_joint_action(state, joint_action):
         env_name = joint_action.env
         if env_name not in env_effects:
             raise ModelError(f"unknown environment action {env_name!r}")
@@ -237,13 +264,27 @@ def variable_context(
             )
         return next_state
 
+    def transition(state, joint_action):
+        key = (state, joint_action)
+        next_state = transitions.get(key)
+        if next_state is None:
+            next_state = transitions[key] = apply_joint_action(state, joint_action)
+        return next_state
+
     def local_state(agent, state):
-        return state.restrict(observable_names[agent])
+        key = (agent, state)
+        local = local_states.get(key)
+        if local is None:
+            local = local_states[key] = state.restrict(observable_names[agent])
+        return local
 
     def labelling(state):
-        labels = set(state_space.labelling(state))
-        if extra_labels is not None:
-            labels |= set(extra_labels(state))
+        labels = labellings.get(state)
+        if labels is None:
+            labels = set(state_space.labelling(state))
+            if extra_labels is not None:
+                labels |= set(extra_labels(state))
+            labels = labellings[state] = frozenset(labels)
         return labels
 
     context = Context(

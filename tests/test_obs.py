@@ -395,3 +395,22 @@ def test_fuzz_timing_percentiles():
     timing = stats["timing"]
     assert timing["p50"] <= timing["p90"] <= timing["p99"] <= timing["max"]
     assert not obs.ENABLED  # the fuzz recorder uninstalled itself
+
+
+def test_spec_load_counts_cache_hits_and_misses(tmp_path, recorder):
+    from repro.spec import load_spec
+
+    path = tmp_path / "counted.kbp"
+    path.write_text(
+        "protocol counted\nvar x : bool\nagent a\n  observes x\nend\ninit !x\n"
+    )
+    load_spec(str(path))
+    load_spec(str(path))
+    loads = [
+        record for record in recorder.records
+        if record["kind"] == "counter" and record["name"] == "spec.load"
+    ]
+    assert [record["attrs"]["cached"] for record in loads] == [False, True]
+    assert all(record["value"] == 1 for record in loads)
+    for record in loads:
+        assert validate_record(record) is record

@@ -14,8 +14,10 @@ from repro.protocols import registered_protocols
 from repro.spec import (
     SpecError,
     bundled_spec_names,
+    bundled_spec_path,
     load_spec,
     parse_spec,
+    parse_spec_file,
     render_formula,
 )
 from repro.spec.__main__ import main as spec_cli
@@ -249,6 +251,12 @@ ROUND_TRIP_CASES = [
 )
 def test_bundled_spec_round_trips(name, params):
     spec = load_spec(name, **params)
+    # The cached load is a fresh copy of what a fresh parse yields.
+    fresh = parse_spec_file(bundled_spec_path(name), **params)
+    again = load_spec(name, **params)
+    assert again is not spec
+    assert spec.equivalent(fresh) and again.equivalent(fresh)
+    assert again.params == fresh.params
     reparsed = parse_spec(spec.to_kbp(), source=f"<{name} roundtrip>")
     assert spec.equivalent(reparsed)
     # The rendering is canonical after one round: re-rendering the reparsed
@@ -269,6 +277,52 @@ def test_bundled_specs_validate_and_lower():
         parts = spec.context_parts()
         assert parts["name"] == spec.name
         assert set(parts["observables"]) == set(spec.agents)
+
+
+# -- the load cache ----------------------------------------------------------------------
+
+
+def test_mutating_a_loaded_spec_does_not_leak_into_the_next_load():
+    spec = load_spec("muddy_children", n=2)
+    agent = spec.agents[0]
+    spec.observables[agent] = ()
+    spec.observables["intruder"] = ("said0",)
+    spec.actions[agent].clear()
+    spec.actions["intruder"] = {}
+    spec.env_effects.clear()
+    spec.programs["main"].clear()
+    spec.programs["extra"] = {}
+    spec.params["n"] = 99
+    again = load_spec("muddy_children", n=2)
+    fresh = parse_spec_file(bundled_spec_path("muddy_children"), n=2)
+    assert again.equivalent(fresh)
+    assert again.params == fresh.params
+
+
+def test_an_edited_file_is_parsed_again(tmp_path):
+    from repro.spec import library
+
+    path = tmp_path / "minimal.kbp"
+    path.write_text(MINIMAL)
+    assert load_spec(str(path)).name == "minimal"
+    for edit in range(2 * library._CACHE_SIZE):
+        path.write_text(MINIMAL.replace("protocol minimal", f"protocol edit{edit}"))
+        edited = load_spec(str(path))
+        assert edited.name == f"edit{edit}"
+        assert edited.equivalent(parse_spec_file(str(path)))
+    assert len(library._CACHE) <= library._CACHE_SIZE
+
+
+def test_failed_loads_are_not_cached():
+    load_spec("muddy_children", n=1)
+    load_spec("muddy_children", n=3)
+    for _ in range(2):
+        with pytest.raises(SpecError, match="unknown parameter"):
+            load_spec("bit_transmission", bogus=3)
+    # Values that compare equal to a cached integer are still rejected.
+    for value in (3.0, True, "3"):
+        with pytest.raises(SpecError, match="must be an integer"):
+            load_spec("muddy_children", n=value)
 
 
 # -- the registry ------------------------------------------------------------------------

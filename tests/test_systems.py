@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.interpretation import construct_by_rounds
 from repro.logic import parse
 from repro.modeling import StateSpace, boolean, ite, ranged, var
+from repro.protocols import leader_election, muddy_children
 from repro.systems import (
     Context,
     JointProtocol,
@@ -121,12 +123,16 @@ class TestVariableContext:
         assert counter_context.local_state("agent", state) == (("c", 0),)
 
     def test_unknown_agent_rejected(self, counter_context):
-        with pytest.raises(ModelError):
-            counter_context.local_state("nobody", counter_context.initial_states[0])
+        state = counter_context.initial_states[0]
+        counter_context.local_state("agent", state)  # memoise the known agent's view
+        for _ in range(2):
+            with pytest.raises(ModelError):
+                counter_context.local_state("nobody", state)
 
     def test_labelling(self, counter_context):
         state = counter_context.initial_states[0]
         assert counter_context.labelling(state) == frozenset({"c=0"})
+        assert counter_context.labelling(state) is counter_context.labelling(state)
 
     def test_write_conflict_detected(self):
         x = ranged("x", 0, 3)
@@ -143,6 +149,55 @@ class TestVariableContext:
         )
         with pytest.raises(ModelError):
             generate_transition_system(context, protocol)
+
+    def test_failed_transitions_raise_on_every_call(self):
+        x = ranged("x", 0, 3)
+        space = StateSpace([x])
+        context = variable_context(
+            "failing",
+            space,
+            observables={"a": ["x"], "b": ["x"]},
+            actions={
+                "a": {"set1": {"x": 1}, "inc": {"x": var(x) + 1}},
+                "b": {"set2": {"x": 2}},
+            },
+            initial=(var(x) == 1),
+            global_constraint=(var(x) <= 1),
+        )
+        state = context.initial_states[0]
+        conflict = JointAction(None, {"a": "set1", "b": "set2"})
+        excluded = JointAction(None, {"a": "inc", "b": NOOP_NAME})
+        for joint in (conflict, excluded, conflict, excluded):
+            with pytest.raises(ModelError):
+                context.transition(state, joint)
+        fine = JointAction(None, {"a": "set1", "b": NOOP_NAME})
+        assert context.transition(state, fine) is context.transition(state, fine)
+
+    def test_spec_tables_are_read_only(self, counter_context):
+        spec = counter_context.spec
+        with pytest.raises(TypeError):
+            spec.actions["agent"]["inc"] = Action("inc")
+        with pytest.raises(TypeError):
+            spec.actions["other"] = {}
+        with pytest.raises(TypeError):
+            spec.observables["agent"] = ("flag",)
+        with pytest.raises(TypeError):
+            spec.env_effects["boom"] = None
+
+    @pytest.mark.parametrize("module", [muddy_children, leader_election])
+    def test_reused_context_agrees_with_fresh(self, module):
+        def summary(result):
+            return (
+                set(result.system.states),
+                set(result.system.transition_system.transitions),
+                result.iterations,
+            )
+
+        reused = module.context(3)
+        warm = construct_by_rounds(module.program(3), reused)
+        memoised = construct_by_rounds(module.program(3), reused)
+        fresh = construct_by_rounds(module.program(3), module.context(3))
+        assert summary(warm) == summary(memoised) == summary(fresh)
 
     def test_global_constraint_filters_initial_states(self):
         x = ranged("x", 0, 3)
