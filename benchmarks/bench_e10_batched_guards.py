@@ -8,11 +8,10 @@ operator and agent and dispatched through the backend ``*_many`` calls) on
 guard suites shaped like program clause guards, over observability
 structures of 256 and 1024 worlds.
 
-On the matrix backend the batched path stacks all same-relation operands as
-columns of one bit-packed matrix, so ``k`` guards cost one traversal of the
-relation instead of ``k``; on bitset/frozenset the generic scalar-loop
-fallback makes both paths equivalent (measured here to confirm the batch
-API adds no overhead).
+On the bdd backend the batched path resolves each relation once and runs
+the whole batch against the kernel's shared operation caches; on bitset the
+generic scalar-loop fallback makes both paths equivalent (measured here to
+confirm the batch API adds no overhead).
 """
 
 import pytest

@@ -1,8 +1,8 @@
 """E11 — The symbolic (BDD) backend against the explicit engines.
 
-Two workloads compare ``"bdd"`` with the explicit backends
-(bitset/frozenset, and matrix when NumPy is present) through the
-``engine_backend`` fixture, which enumerates ``available_backends()``:
+Two workloads compare ``"bdd"`` with the explicit ``"bitset"`` backend
+through the ``engine_backend`` fixture, which enumerates
+``available_backends()``:
 
 * the e7 knowledge-evaluation workload — nested K/M over the two-agent
   observability grid — at 256 and 1024 worlds, the head-to-head the
@@ -15,17 +15,20 @@ Two workloads compare ``"bdd"`` with the explicit backends
   variable context enumerates an intractable product space at this size),
   with every clause guard ``K_i muddy_i | K_i !muddy_i`` evaluated in one
   batched engine pass and decided per local-state class through
-  ``local_guard_value`` — the interpretation-layer inner loop the paper's
+  ``uniform_value`` — the interpretation-layer inner loop the paper's
   ``Pg^I`` functional runs round after round.
 
-Both workloads assert the classical expected answers (at round 0 exactly
-the ``k = 1`` children know their status), so the benchmark doubles as an
-equivalence check at sizes the unit suite does not visit.
+Both workloads assert expected answers — the knowledge workload against the
+definitional oracle (:mod:`repro.oracle`), the guard table against the
+classical result that at round 0 exactly the ``k = 1`` children know their
+status — so the benchmark doubles as an equivalence check at sizes the unit
+suite does not visit.
 """
 
 import pytest
 
-from repro.engine import Evaluator, backend_by_name, local_guard_value
+from repro import oracle
+from repro.engine import Evaluator, backend_by_name, uniform_value
 from repro.kripke import structure_from_labels
 from repro.logic import parse
 from repro.protocols.muddy_children import child, knows_own_status
@@ -53,13 +56,15 @@ def muddy_guard_table(structure, n, backend):
     ``(agent, class size, guard value)`` entries."""
     evaluator = Evaluator(structure, backend)
     guards = [knows_own_status(i) for i in range(n)]
-    evaluator.extensions(guards)  # one batched engine pass for all guards
+    # One batched engine pass for all guards.
+    extensions = evaluator.extensions_ws(guards)
     entries = []
     for i in range(n):
         agent = child(i)
         for cls in structure.equivalence_classes(agent):
+            witnesses = backend.from_worlds(structure, cls)
             entries.append(
-                (agent, len(cls), local_guard_value(evaluator, cls, guards[i]))
+                (agent, len(cls), uniform_value(backend, witnesses, extensions[i]))
             )
     return entries
 
@@ -74,7 +79,9 @@ def test_bench_symbolic_knowledge_eval(benchmark, table_report, engine_backend, 
     # cache after the first round); the structure-level encodings and
     # relation BDDs stay memoised, matching how repeated queries behave.
     result = benchmark(lambda: Evaluator(structure, backend).extension(formula))
-    reference = Evaluator(structure, backend_by_name("frozenset")).extension(formula)
+    reference = oracle.extension(
+        formula, structure.worlds, structure.accessible, structure.labels
+    )
     assert result == reference
     table_report(
         f"E11 symbolic knowledge evaluation ({2**bits} worlds, {engine_backend})",

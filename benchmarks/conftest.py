@@ -14,18 +14,16 @@ from repro.engine import available_backends, use_backend
 
 @pytest.fixture(params=available_backends())
 def engine_backend(request):
-    """Run the benchmark once per *registered, available* world-set backend.
+    """Run the benchmark once per registered world-set backend.
 
     The parameter list is taken from the live registry, so a newly
-    registered backend (e.g. ``matrix`` when NumPy is installed) is measured
-    automatically, and optional-dependency backends drop out cleanly when
-    their dependency is missing.  The fixture switches the process-default
-    backend for the duration of the test, so every structure/evaluator the
-    workload creates routes through the parametrised backend; it also
-    returns the backend name for workloads that construct evaluators
-    explicitly.  Benchmark ids gain a ``[bitset]``/``[frozenset]``/...
-    suffix, which makes the relative speed of the engines visible directly
-    in CI output.
+    registered backend is measured automatically.  The fixture switches the
+    process-default backend for the duration of the test, so every
+    structure/evaluator the workload creates routes through the
+    parametrised backend; it also returns the backend name for workloads
+    that construct evaluators explicitly.  Benchmark ids gain a
+    ``[bitset]``/``[bdd]`` suffix, which makes the relative speed of the
+    engines visible directly in CI output.
     """
     with use_backend(request.param):
         yield request.param

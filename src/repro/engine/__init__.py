@@ -12,23 +12,19 @@ analysis (:mod:`repro.analysis.common_knowledge`), CTLK model checking
   world-sets as big-int bitmasks over the dense world index every
   :class:`repro.kripke.structure.EpistemicStructure` assigns at
   construction time;
-* :class:`~repro.engine.backend.FrozensetBackend` preserves the original
-  explicit ``frozenset`` evaluation and serves as the semantic baseline;
-* :class:`~repro.engine.matrix.MatrixBackend` (``"matrix"``) vectorises the
-  epistemic operators as NumPy boolean matrix algebra; it is loaded lazily
-  and only listed by :func:`available_backends` when NumPy is importable;
 * :class:`~repro.symbolic.backend_bdd.SymbolicBackend` (``"bdd"``)
   represents world-sets as ROBDDs over a ``ceil(log2 |W|)``-variable
   encoding (:mod:`repro.symbolic`) and the epistemic operators as
-  relational products and BDD fixed points; pure Python, always available,
-  with cost scaling in BDD size rather than world count.
+  relational products and BDD fixed points, with cost scaling in BDD size
+  rather than world count.
 
 The backend set is open: :func:`register_backend` registers a factory under
-a name, optionally gated on an availability predicate, and every consumer
-of :func:`available_backends` — the equivalence test-suite, the benchmark
-harness, CI — picks the new backend up automatically.
+a name, and every consumer of :func:`available_backends` — the equivalence
+test-suite, the benchmark harness — picks the new backend up automatically.
+The semantic reference for every backend is the definitional oracle
+:mod:`repro.oracle`, which shares no code with the engine.
 
-Select a backend per call (``extension(structure, phi, backend="frozenset")``),
+Select a backend per call (``extension(structure, phi, backend="bdd")``),
 per process (:func:`set_default_backend`, or the ``REPRO_SET_BACKEND``
 environment variable), or lexically (:func:`use_backend`).  The persistent
 :class:`~repro.engine.evaluator.Evaluator` memoises subformula extensions
@@ -38,14 +34,11 @@ for the lifetime of a structure; obtain the shared instance with
 
 from repro.engine.backend import (
     BitsetBackend,
-    FrozensetBackend,
     SetBackend,
     available_backends,
-    backend_available,
     backend_by_name,
     get_default_backend,
     register_backend,
-    registered_backends,
     resolve_backend,
     set_default_backend,
     unregister_backend,
@@ -57,22 +50,16 @@ from repro.engine.evaluator import (
     apply_epistemic_many,
     collect_ready_epistemic,
     evaluator_for,
-    local_guard_value,
+    uniform_value,
 )
 
-# ``MatrixBackend`` is deliberately NOT in ``__all__``: a star-import would
-# resolve it through ``__getattr__`` and pull NumPy in eagerly (and fail
-# outright in NumPy-less environments).  Import it explicitly.
 __all__ = [
     "SetBackend",
-    "FrozensetBackend",
     "BitsetBackend",
     "available_backends",
-    "backend_available",
     "backend_by_name",
     "get_default_backend",
     "register_backend",
-    "registered_backends",
     "resolve_backend",
     "set_default_backend",
     "unregister_backend",
@@ -82,17 +69,5 @@ __all__ = [
     "apply_epistemic_many",
     "collect_ready_epistemic",
     "evaluator_for",
-    "local_guard_value",
+    "uniform_value",
 ]
-
-
-def __getattr__(name):
-    # ``MatrixBackend`` lives in a module that imports NumPy at load time,
-    # so it is exposed lazily: ``from repro.engine import MatrixBackend``
-    # works when NumPy is installed, while a plain ``import repro.engine``
-    # never touches NumPy.
-    if name == "MatrixBackend":
-        from repro.engine.matrix import MatrixBackend
-
-        return MatrixBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,15 +19,9 @@ the handful of primitive operations the evaluator needs:
   ``distributed_knows_many``) that apply one operator to many operand
   world-sets against the same relation.  :class:`SetBackend` provides a
   generic scalar-loop fallback, so every backend supports the batch API;
-  backends whose representation allows it (the matrix backend) override
-  them with a true multi-operand pass.
+  the BDD backend runs a batch against its shared operation caches.
 
-Four backends ship with the library:
-
-:class:`FrozensetBackend`
-    Represents a world-set as a ``frozenset`` of world identifiers and
-    mirrors the original, per-world explicit-set evaluator.  It is the
-    compatibility baseline the equivalence tests compare against.
+Two backends ship with the library:
 
 :class:`BitsetBackend`
     Represents a world-set as a Python big integer: world ``i`` (in the
@@ -37,27 +31,19 @@ Four backends ship with the library:
     tests and common knowledge becomes a backward fixed-point over masks
     instead of a breadth-first search per world.  This is the fast default.
 
-:class:`repro.engine.matrix.MatrixBackend`
-    Represents a world-set as a NumPy boolean vector and per-agent
-    accessibility as a dense boolean adjacency matrix; the modal operators
-    are vectorised matrix products with no per-world Python loop.  It is
-    registered lazily and gated on NumPy being importable — this module
-    never imports NumPy itself.
-
 :class:`repro.symbolic.backend_bdd.SymbolicBackend`
     The symbolic backend (``"bdd"``): world-sets as ROBDD nodes over a
     ``ceil(log2 |W|)``-variable encoding of the dense world index, modal
     operators as relational products against relation BDDs, group/common
     knowledge and reachability as BDD fixed points.  Its cost scales with
-    BDD size rather than ``|W|``, and the kernel is pure Python, so the
-    backend is always available (registered lazily, no optional
-    dependency).
+    BDD size rather than ``|W|``; the kernel is pure Python and is loaded
+    on first request.
 
 Backends are registered through :func:`register_backend`, which takes a
-*factory* (instantiated on first request) and an optional availability
-predicate, so optional-dependency backends cost nothing until used and
-disappear cleanly from :func:`available_backends` when their dependency is
-missing.
+*factory* (instantiated on first request), so a backend costs nothing
+until used.  Neither backend is the semantic reference: both are checked
+against the definitional oracle :mod:`repro.oracle`, which shares no code
+with them.
 
 Backends are stateless; all per-structure derived data (masks, proposition
 extensions, group relations) is memoised in ``structure.engine_cache``,
@@ -74,7 +60,7 @@ from repro.util.errors import EngineError
 # -- per-structure derived data -----------------------------------------------------
 #
 # All helpers below memoise in ``structure.engine_cache`` under keys namespaced
-# by a short tag, so the two backends and the evaluator can share one dict.
+# by a short tag, so the backends and the evaluator can share one dict.
 
 
 def _group_key(group):
@@ -230,9 +216,9 @@ class SetBackend:
 
     def equals(self, a, b):
         """Return ``True`` iff two world-sets (of the same structure) are
-        equal.  The default ``==`` is correct for scalar representations
-        (frozensets, int bitmasks); array-valued backends must override it,
-        since their ``==`` is elementwise."""
+        equal.  The default ``==`` is correct for representations with value
+        equality (int bitmasks, canonical BDD nodes); a backend whose ``==``
+        is not set equality must override it."""
         return a == b
 
     # -- epistemic operators ----------------------------------------------------------
@@ -263,9 +249,9 @@ class SetBackend:
     # operand world-sets against the same agent/group relation and returns the
     # list of results in operand order.  The default implementations below are
     # the generic scalar-loop fallback, correct for every backend; a backend
-    # whose representation supports it (the matrix backend stacks the operands
-    # as columns of a bit-packed ``n x k`` matrix) overrides them with a true
-    # multi-operand pass.  ``Evaluator.extensions`` groups the epistemic nodes
+    # whose representation supports a true multi-operand pass overrides them
+    # (the BDD backend resolves the relation once per batch).
+    # ``Evaluator.extensions`` groups the epistemic nodes
     # of a formula batch by ``(operator, agent/group)`` and dispatches each
     # group through exactly one of these calls.
 
@@ -301,8 +287,8 @@ class SetBackend:
     def cache_info(self, structure):
         """Sizes of the backend's per-structure caches, as a dict.
 
-        The default backends keep only derived data that is proportional to
-        the structure (masks, matrices) and report nothing; backends with
+        The bitset backend keeps only derived data that is proportional to
+        the structure (masks) and reports nothing; backends with
         *operation* caches that grow with use — the BDD backend's shared
         ``ite``/apply memo tables — override this so long-lived evaluators
         are observable (see :meth:`Evaluator.cache_info`)."""
@@ -317,114 +303,6 @@ class SetBackend:
 
     def __repr__(self):
         return f"{type(self).__name__}()"
-
-
-class FrozensetBackend(SetBackend):
-    """World-sets as ``frozenset`` objects — the reference implementation.
-
-    This backend reproduces the original explicit-set evaluator exactly and
-    serves as the semantic baseline for
-    ``tests/test_engine_backends.py``.
-    """
-
-    name = "frozenset"
-
-    def from_worlds(self, structure, worlds):
-        return frozenset(worlds)
-
-    def to_frozenset(self, structure, ws):
-        return ws
-
-    def universe(self, structure):
-        cache = structure.engine_cache
-        result = cache.get("fs_universe")
-        if result is None:
-            result = frozenset(structure.worlds)
-            cache["fs_universe"] = result
-        return result
-
-    def empty(self, structure):
-        return frozenset()
-
-    def union(self, a, b):
-        return a | b
-
-    def intersection(self, a, b):
-        return a & b
-
-    def difference(self, a, b):
-        return a - b
-
-    def complement(self, structure, ws):
-        return self.universe(structure) - ws
-
-    def contains(self, structure, ws, world):
-        return world in ws
-
-    def is_empty(self, ws):
-        return not ws
-
-    def size(self, ws):
-        return len(ws)
-
-    def prop_extension(self, structure, name):
-        return frozenset(
-            world for world in structure.worlds if structure.label_holds(world, name)
-        )
-
-    def knows(self, structure, agent, inner):
-        return frozenset(
-            world
-            for world in structure.worlds
-            if structure.accessible(agent, world) <= inner
-        )
-
-    def possible(self, structure, agent, inner):
-        return frozenset(
-            world
-            for world in structure.worlds
-            if structure.accessible(agent, world) & inner
-        )
-
-    def everyone_knows(self, structure, group, inner):
-        return frozenset(
-            world
-            for world in structure.worlds
-            if all(structure.accessible(agent, world) <= inner for agent in group)
-        )
-
-    def common_knows(self, structure, group, inner):
-        adjacency = structure.group_relation(group, mode="union")
-        result = []
-        for world in structure.worlds:
-            reachable = structure.reachable_via(
-                adjacency, adjacency.get(world, frozenset())
-            )
-            if reachable <= inner:
-                result.append(world)
-        return frozenset(result)
-
-    def distributed_knows(self, structure, group, inner):
-        adjacency = structure.group_relation(group, mode="intersection")
-        return frozenset(
-            world
-            for world in structure.worlds
-            if adjacency.get(world, frozenset()) <= inner
-        )
-
-    def reachable(self, structure, start_worlds, agents=None):
-        if agents is None:
-            agents = structure.agents
-        frontier = list(start_worlds)
-        seen = set(frontier)
-        while frontier:
-            world = frontier.pop()
-            for agent in agents:
-                for successor in structure.accessible(agent, world):
-                    if successor not in seen:
-                        seen.add(successor)
-                        frontier.append(successor)
-        return frozenset(seen)
 
 
 class BitsetBackend(SetBackend):
@@ -552,30 +430,28 @@ class BitsetBackend(SetBackend):
         return seen
 
 
+
+
 # -- backend registry and default selection ------------------------------------------
 #
 # The registry maps names to *factories* rather than instances, so a backend
-# whose implementation needs an optional dependency (the NumPy-based matrix
-# backend) costs nothing until it is first requested: its module is imported
-# and its instance constructed lazily by :func:`backend_by_name`.  An
-# ``available`` predicate gates registration-time optional dependencies —
-# an unavailable backend stays registered (so error messages can name it)
-# but is hidden from :func:`available_backends` and refuses instantiation.
+# whose implementation lives in a heavier subsystem (the BDD backend) costs
+# nothing until it is first requested: its module is imported and its
+# instance constructed lazily by :func:`backend_by_name`.
 
 
 class _BackendEntry:
-    __slots__ = ("factory", "available", "instance")
+    __slots__ = ("factory", "instance")
 
-    def __init__(self, factory, available):
+    def __init__(self, factory):
         self.factory = factory
-        self.available = available
         self.instance = None
 
 
 _REGISTRY = {}
 
 
-def register_backend(name, factory, available=None, replace=False):
+def register_backend(name, factory, replace=False):
     """Register a world-set backend under ``name``.
 
     Parameters
@@ -587,17 +463,12 @@ def register_backend(name, factory, available=None, replace=False):
         Zero-argument callable returning a :class:`SetBackend` instance.
         Called at most once, on first request (lazy instantiation) — heavy
         imports belong inside the factory, not at registration time.
-    available:
-        Optional zero-argument predicate; when it returns falsy (or raises)
-        the backend is hidden from :func:`available_backends` and
-        :func:`backend_by_name` raises :class:`EngineError` for it.  Use it
-        to gate backends on optional dependencies.
     replace:
         Allow overwriting an existing registration (default ``False``).
     """
     if not replace and name in _REGISTRY:
         raise EngineError(f"set backend {name!r} is already registered")
-    _REGISTRY[name] = _BackendEntry(factory, available)
+    _REGISTRY[name] = _BackendEntry(factory)
 
 
 def unregister_backend(name):
@@ -613,30 +484,9 @@ def unregister_backend(name):
     del _REGISTRY[name]
 
 
-def backend_available(name):
-    """Return ``True`` iff ``name`` is registered and its availability
-    predicate (if any) passes."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        return False
-    if entry.available is None:
-        return True
-    try:
-        return bool(entry.available())
-    except Exception:
-        return False
-
-
-def registered_backends():
-    """Return the names of all registered backends, available or not."""
-    return sorted(_REGISTRY)
-
-
 def available_backends():
-    """Return the names of the registered backends that are usable in this
-    environment (optional-dependency backends are filtered out when their
-    dependency is missing)."""
-    return sorted(name for name in _REGISTRY if backend_available(name))
+    """Return the names of the registered backends, sorted."""
+    return sorted(_REGISTRY)
 
 
 def backend_by_name(name):
@@ -647,12 +497,6 @@ def backend_by_name(name):
             f"unknown set backend {name!r}; available: {available_backends()}"
         )
     if entry.instance is None:
-        if not backend_available(name):
-            raise EngineError(
-                f"set backend {name!r} is registered but not available in this "
-                f"environment (missing optional dependency?); "
-                f"available: {available_backends()}"
-            )
         entry.instance = entry.factory()
     return entry.instance
 
@@ -677,7 +521,7 @@ def get_default_backend():
 def set_default_backend(backend):
     """Set the process-wide default backend; returns the previous default.
 
-    ``backend`` may be a name (``"bitset"``, ``"frozenset"``) or a
+    ``backend`` may be a name (``"bitset"``, ``"bdd"``) or a
     :class:`SetBackend` instance.
     """
     global _default_backend
@@ -699,33 +543,15 @@ def use_backend(backend):
 # -- built-in registrations ----------------------------------------------------------
 
 
-def _numpy_available():
-    from importlib.util import find_spec
-
-    return find_spec("numpy") is not None
-
-
-def _matrix_factory():
-    # Deferred import: this is the only place the engine touches
-    # ``repro.engine.matrix`` (and hence NumPy), so importing this module
-    # never pulls NumPy in unless the matrix backend is actually requested.
-    from repro.engine.matrix import MatrixBackend
-
-    return MatrixBackend()
-
-
 def _bdd_factory():
-    # Deferred import: the symbolic subsystem is pure Python (always
-    # available), but its kernel and encoding modules are only loaded when
-    # the backend is first requested.
+    # Deferred import: the symbolic kernel and encoding modules are only
+    # loaded when the backend is first requested.
     from repro.symbolic.backend_bdd import SymbolicBackend
 
     return SymbolicBackend()
 
 
-register_backend(FrozensetBackend.name, FrozensetBackend)
 register_backend(BitsetBackend.name, BitsetBackend)
-register_backend("matrix", _matrix_factory, available=_numpy_available)
 register_backend("bdd", _bdd_factory)
 
 _default_backend = backend_by_name(os.environ.get("REPRO_SET_BACKEND", BitsetBackend.name))

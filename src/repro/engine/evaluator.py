@@ -14,8 +14,7 @@ evaluator per (structure, backend) pair in ``structure.engine_cache``.
 :meth:`Evaluator.extensions` is the batched entry point: it hash-conses the
 shared subformulas of many formulas once, groups their epistemic nodes by
 ``(operator, agent/group)`` and dispatches each group through a single
-backend ``*_many`` call — one stacked matrix pass on the matrix backend, a
-plain scalar loop elsewhere.
+backend ``*_many`` call.
 """
 
 from repro.logic.formula import (
@@ -113,10 +112,10 @@ class Evaluator:
         epistemic nodes of the combined formula DAG are grouped by
         ``(operator, agent/group)`` and each group is dispatched through one
         backend ``*_many`` call (innermost modalities first, so operands are
-        always ready).  On backends with a true batch implementation (the
-        matrix backend) ``k`` same-relation modal operands cost one stacked
-        pass instead of ``k`` scalar passes; elsewhere the generic fallback
-        makes this exactly equivalent to per-formula :meth:`extension`.
+        always ready).  On backends with a true batch implementation ``k``
+        same-relation modal operands share one pass; elsewhere the generic
+        fallback makes this exactly equivalent to per-formula
+        :meth:`extension`.
         """
         formulas = list(formulas)
         self.extensions_ws(formulas)
@@ -352,15 +351,17 @@ def apply_epistemic_many(backend, structure, formulas, inners):
 def evaluator_for(structure, backend=None):
     """Return the memoised evaluator of ``structure`` for ``backend``.
 
-    One evaluator is kept per (structure, backend name) pair in
-    ``structure.engine_cache``; with ``backend=None`` the *current* process
-    default is used, so switching the default (see
+    One evaluator is kept per (structure, backend instance) pair in
+    ``structure.engine_cache``.  Names resolve to the registry's singletons,
+    so every caller naming a backend shares one evaluator, while a
+    caller-supplied instance always gets its own.  With ``backend=None`` the
+    *current* process default is used, so switching the default (see
     :func:`repro.engine.backend.use_backend`) transparently selects a
     different, independently cached evaluator.
     """
     backend = resolve_backend(backend)
     cache = structure.engine_cache
-    key = ("evaluator", backend.name)
+    key = ("evaluator", backend)
     evaluator = cache.get(key)
     if evaluator is None:
         evaluator = Evaluator(structure, backend)
@@ -368,28 +369,17 @@ def evaluator_for(structure, backend=None):
     return evaluator
 
 
-def local_guard_value(evaluator, witness_worlds, guard):
-    """Evaluate a *local* guard over a class of indistinguishable worlds.
+def uniform_value(backend, witnesses, extension):
+    """The value a formula takes uniformly on a class of worlds.
 
-    Returns ``True``/``False`` when the guard takes that uniform value on
-    every world of ``witness_worlds``, and ``None`` when it differs between
-    them (i.e. the guard is not local to the observing agent).  This is the
-    backend fast path for knowledge-based-program guard evaluation: one
-    set difference instead of a per-world membership scan.
-
-    The *empty* witness class is vacuously uniform — the guard holds at
-    every world of the class, there being none — so it yields ``True``,
-    consistent with the paper's convention that ``K_a phi`` is true at a
-    local state no reachable global state carries.  (It previously fell
-    through to ``False`` because the all-inside test ran after the
-    none-inside test.)
+    ``witnesses`` (the class) and ``extension`` (the formula's extension)
+    are world-sets of ``backend``.  Returns ``True`` when the formula holds
+    at every world of the class, ``False`` when it holds at none, and
+    ``None`` when it differs between them (for a knowledge-based-program
+    guard: the guard is not local to the observing agent).  The empty class
+    is vacuously uniform and yields ``True``.
     """
-    structure = evaluator.structure
-    backend = evaluator.backend
-    witnesses = backend.from_worlds(structure, witness_worlds)
-    extension = evaluator.extension_ws(guard)
-    outside = backend.difference(witnesses, extension)
-    if backend.is_empty(outside):
+    if backend.is_empty(backend.difference(witnesses, extension)):
         return True
     if backend.is_empty(backend.intersection(witnesses, extension)):
         return False

@@ -47,7 +47,6 @@ from repro.interpretation.functional import (
     GuardTable,
     StateSetView,
     derive_protocol,
-    guard_holds_at_local,
     guard_table,
 )
 from repro.interpretation.synthesis import (
@@ -81,7 +80,6 @@ __all__ = [
     "StateSetView",
     "GuardTable",
     "guard_table",
-    "guard_holds_at_local",
     "implements",
     "check_implementation",
     "ImplementationReport",

@@ -20,13 +20,13 @@ of every distinct clause guard of every agent in one pass through the
 engine's batched evaluator (epistemic subformulas grouped per operator and
 agent/group and dispatched through the backend's ``*_many`` operators) and
 then decides each ``(agent, local state, clause)`` entry with two world-set
-operations against the agent's indistinguishability classes.  The scalar
-:func:`guard_holds_at_local` remains as the per-guard reference path (and
-for views without a persistent evaluator).
+operations against the agent's indistinguishability classes
+(:func:`repro.engine.evaluator.uniform_value`).  The independent reference
+for these decisions is :func:`repro.oracle.guard_value`.
 """
 
 from repro import obs as _obs
-from repro.engine import evaluator_for, local_guard_value
+from repro.engine import evaluator_for, uniform_value
 from repro.kripke.builders import structure_from_local_states
 from repro.symbolic.bdd import TRUE
 from repro.systems.actions import NOOP_NAME
@@ -38,7 +38,6 @@ __all__ = [
     "StateSetView",
     "GuardTable",
     "guard_table",
-    "guard_holds_at_local",
     "derive_protocol",
 ]
 
@@ -104,20 +103,16 @@ class GuardTable:
     per group), instead of one scalar engine pass per ``(local state,
     clause)`` pair; a table that is never consulted (a construction round
     with no new local states) costs nothing.  Uniformity per
-    indistinguishability class is then two world-set operations against the
-    agent's local-state indicator sets (the witness classes in backend
+    indistinguishability class is then
+    :func:`repro.engine.evaluator.uniform_value` against the agent's
+    local-state indicator sets (the witness classes in backend
     representation), answered lazily and memoised.
-
-    On a duck-typed view without a persistent ``evaluator`` the table falls
-    back to per-guard ``view.extension`` calls and plain frozenset algebra —
-    semantically identical, just without the batched engine pass.
     """
 
     def __init__(self, view, program):
         self.view = view
         self.program = program
-        context = getattr(view, "context", None)
-        context_agents = frozenset(context.agents) if context is not None else None
+        context_agents = frozenset(view.context.agents)
         guards = []
         seen = set()
         for agent_program in program:
@@ -125,14 +120,14 @@ class GuardTable:
             # extra program agents are never queried and may mention
             # relations the view's structure does not carry, so they must
             # not enter the batched pass.
-            if context_agents is not None and agent_program.agent not in context_agents:
+            if agent_program.agent not in context_agents:
                 continue
             for clause in agent_program.clauses:
                 if clause.guard not in seen:
                     seen.add(clause.guard)
                     guards.append(clause.guard)
         self._guards = guards
-        self._evaluator = getattr(view, "evaluator", None)
+        self._evaluator = view.evaluator
         # The batched pass is deferred to the first guard query: rounds of
         # ``construct_by_rounds`` whose local states are all already decided
         # build a table but never consult it, and must not pay for one.
@@ -148,46 +143,32 @@ class GuardTable:
         local state, ``None`` when it differs between them (non-local guard).
 
         A local state no state of the view carries raises
-        :class:`InterpretationError`, matching :func:`guard_holds_at_local`
-        (the vacuous-``True`` convention for empty classes lives one level
-        down, in :func:`repro.engine.evaluator.local_guard_value`).
+        :class:`InterpretationError`.
         """
         key = (agent, local_state, guard)
         try:
             return self._values[key]
         except KeyError:
             pass
-        witnesses = self.view.states_with_local_state(agent, local_state)
-        if not witnesses:
+        # The batched guard pass runs first, so a budget raise inside a
+        # round is noticed at its evaluator safe point.
+        extension = self._guard_extension(guard)
+        witnesses = self._witness_ws(agent, local_state)
+        backend = self._evaluator.backend
+        if backend.is_empty(witnesses):
             raise InterpretationError(
                 f"no state in the view has local state {local_state!r} for agent {agent!r}"
             )
-        extension = self._guard_extension(guard)
-        if self._evaluator is not None:
-            backend = self._evaluator.backend
-            witness_ws = self._witness_ws(agent, local_state, witnesses)
-            if backend.is_empty(backend.difference(witness_ws, extension)):
-                value = True
-            elif backend.is_empty(backend.intersection(witness_ws, extension)):
-                value = False
-            else:
-                value = None
-        else:
-            # Duck-typed views may return any iterable of states here.
-            witnesses = frozenset(witnesses)
-            if witnesses <= extension:
-                value = True
-            elif not (witnesses & extension):
-                value = False
-            else:
-                value = None
+        value = uniform_value(backend, witnesses, extension)
         self._values[key] = value
         return value
 
     def holds(self, agent, local_state, guard, require_local=True):
-        """Decide the guard at the local state, resolving non-local guards
-        the same way as :func:`guard_holds_at_local`: an error under
-        ``require_local``, an existential (``True``) reading otherwise."""
+        """Decide the guard at the local state.  A non-local guard raises
+        :class:`InterpretationError` under ``require_local`` (the paper
+        requires tests to be local); otherwise it is read existentially (the
+        clause is enabled if its guard holds at some state with this local
+        state), which resolves the test by environment nondeterminism."""
         value = self.value(agent, local_state, guard)
         if value is not None:
             return value
@@ -239,16 +220,8 @@ class GuardTable:
     def _guard_extensions(self):
         extensions = self._extensions
         if extensions is None:
-            batched = self._evaluator is not None
-            with _obs.span(
-                "guard_table.batch", guards=len(self._guards), batched=batched
-            ):
-                if batched:
-                    computed = self._evaluator.extensions_ws(self._guards)
-                else:
-                    computed = [
-                        frozenset(self.view.extension(guard)) for guard in self._guards
-                    ]
+            with _obs.span("guard_table.batch", guards=len(self._guards)):
+                computed = self._evaluator.extensions_ws(self._guards)
             if _obs.ENABLED:
                 _obs.counter("guard_table.batches")
                 _obs.counter("guard_table.guards", len(self._guards))
@@ -260,20 +233,18 @@ class GuardTable:
         if guard not in extensions:
             # A guard outside the program (ad-hoc query): evaluate it through
             # the same representation the table uses.
-            if self._evaluator is not None:
-                extensions[guard] = self._evaluator.extension_ws(guard)
-            else:
-                extensions[guard] = frozenset(self.view.extension(guard))
+            extensions[guard] = self._evaluator.extension_ws(guard)
         return extensions[guard]
 
-    def _witness_ws(self, agent, local_state, witnesses):
+    def _witness_ws(self, agent, local_state):
+        """The agent's class of ``local_state`` as a backend world-set."""
         key = (agent, local_state)
         ws = self._witness_sets.get(key)
         if ws is None:
-            ws = self._evaluator.backend.from_worlds(
-                self._evaluator.structure, witnesses
+            ws = self._witness_sets[key] = self._evaluator.backend.from_worlds(
+                self._evaluator.structure,
+                self.view.states_with_local_state(agent, local_state),
             )
-            self._witness_sets[key] = ws
         return ws
 
     def __repr__(self):
@@ -349,55 +320,15 @@ def guard_table(view, program):
     decisions are BDD projections over whole class sets instead of
     per-local-state witness scans.
     """
-    maker = getattr(view, "make_guard_table", None)
     try:
         tables = view._guard_tables
     except AttributeError:
-        tables = {}
-        try:
-            view._guard_tables = tables
-        except AttributeError:  # view disallows attributes; skip memoisation
-            return maker(program) if maker else GuardTable(view, program)
+        tables = view._guard_tables = {}
     table = tables.get(program)
     if table is None:
+        maker = getattr(view, "make_guard_table", None)
         table = tables[program] = maker(program) if maker else GuardTable(view, program)
     return table
-
-
-def guard_holds_at_local(view, agent, local_state, guard, require_local=True):
-    """Evaluate a guard of ``agent`` at one of its local states in ``view``.
-
-    The guard's value is computed at the reachable states carrying this local
-    state.  With ``require_local=True`` (the default, matching the paper's
-    requirement that tests be local) an :class:`InterpretationError` is
-    raised when the guard takes different values at indistinguishable states;
-    with ``require_local=False`` the guard is read *existentially* (the
-    clause is enabled if its guard holds at some state with this local
-    state), which corresponds to resolving a non-local test by environment
-    nondeterminism.
-    """
-    witnesses = view.states_with_local_state(agent, local_state)
-    if not witnesses:
-        raise InterpretationError(
-            f"no state in the view has local state {local_state!r} for agent {agent!r}"
-        )
-    evaluator = getattr(view, "evaluator", None)
-    if evaluator is not None:
-        # Backend fast path: one world-set intersection against the view's
-        # persistently cached guard extension instead of a per-state scan.
-        value = local_guard_value(evaluator, witnesses, guard)
-    else:
-        guard_extension = view.extension(guard)
-        values = {state in guard_extension for state in witnesses}
-        value = values.pop() if len(values) == 1 else None
-    if value is not None:
-        return value
-    if require_local:
-        raise InterpretationError(
-            f"guard {guard} of agent {agent!r} is not local: its value differs on "
-            f"indistinguishable states with local state {local_state!r}"
-        )
-    return True
 
 
 def derive_protocol(program, view, require_local=True, fallback_on_unknown=True):
@@ -412,7 +343,7 @@ def derive_protocol(program, view, require_local=True, fallback_on_unknown=True)
         :class:`StateSetView`.
     require_local:
         Enforce the paper's locality requirement on guards (see
-        :func:`guard_holds_at_local`).
+        :meth:`GuardTable.holds`).
     fallback_on_unknown:
         The derived protocol is tabulated on the local states occurring in
         the view.  For other local states it performs the agent's fallback

@@ -288,19 +288,6 @@ class EpistemicStructure:
             result[world] = combined
         return result
 
-    def reachable_via(self, adjacency_map, start_worlds):
-        """Return all worlds reachable from ``start_worlds`` through the given
-        adjacency map (used for the transitive closure of common knowledge)."""
-        frontier = list(start_worlds)
-        seen = set(frontier)
-        while frontier:
-            world = frontier.pop()
-            for successor in adjacency_map.get(world, ()):
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return seen
-
     # -- value semantics & debugging --------------------------------------------
 
     def __eq__(self, other):

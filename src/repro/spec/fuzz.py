@@ -15,7 +15,10 @@ against each other on the *same* spec: initial sets, guard tables,
 the explicit ``variable_context`` path and the BDD-backed
 ``symbolic_model`` path — including which exception type they raise when
 the construction legitimately fails — and the spec must survive
-``to_kbp`` → ``parse_spec`` → ``equivalent``.
+``to_kbp`` → ``parse_spec`` → ``equivalent``.  The definitional oracle
+(:mod:`repro.oracle`) casts a third, engine-independent vote on the guard
+values over the initial states, on the reachable set of the constructed
+protocol and on whether that protocol implements the program.
 
 ``python -m repro.spec --fuzz N --seed S`` drives this from the command
 line; ``tests/test_spec_fuzz.py`` pins a seeded run in tier-1.
@@ -24,6 +27,7 @@ line; ``tests/test_spec_fuzz.py`` pins a seeded run in tier-1.
 import random
 
 from repro import obs as _obs
+from repro import oracle
 from repro import resilience as _res
 from repro.logic.formula import Knows, Not
 from repro.util.errors import BudgetExceededError, IterationLimitError
@@ -249,9 +253,13 @@ def differential_check(spec):
             for clause in agent_program.clauses:
                 explicit_value = explicit_table.value(agent, local_state, clause.guard)
                 symbolic_value = symbolic_table.value(agent, local_state, clause.guard)
-                assert symbolic_value == explicit_value, (
+                oracle_value = oracle.guard_value(
+                    context, states, agent, local_state, clause.guard
+                )
+                assert symbolic_value == explicit_value == oracle_value, (
                     f"guard tables diverge for {agent} at {local_state}: "
-                    f"{symbolic_value} != {explicit_value}"
+                    f"symbolic {symbolic_value}, explicit {explicit_value}, "
+                    f"oracle {oracle_value}"
                 )
 
     # Protocol derivation over the initial view.
@@ -276,6 +284,13 @@ def differential_check(spec):
     explicit_states = set(explicit_result.system.states)
     assert set(symbolic_result.system.iter_states()) == explicit_states, (
         "reachable sets diverge"
+    )
+    protocol = explicit_result.protocol.actions
+    assert oracle.reachable(context, protocol) == explicit_states, (
+        "the oracle's reachable set diverges"
+    )
+    assert oracle.implements(context, program, protocol) == explicit_result.verified, (
+        "the oracle's implementation verdict diverges"
     )
     for agent in context.agents:
         for local_state in context.local_states_of(agent, explicit_states):

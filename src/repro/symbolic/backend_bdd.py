@@ -20,13 +20,12 @@ represented as ROBDDs over the structure's symbolic encoding
   caches, so operands with overlapping subdiagrams — the common case for a
   guard suite over shared subformulas — pay for shared work once.
 
-Unlike the ``"matrix"`` backend there is no optional dependency: the kernel
-is pure Python, so ``"bdd"`` is always in ``available_backends()``.  Its
-cost scales with *BDD size*, not with ``|W|``: on structures whose
-relations and extensions compress well (observational indistinguishability
-over variable assignments — the paper's contexts — compresses extremely
-well) it can evaluate over world counts the explicit backends cannot
-touch.
+The kernel is pure Python, so ``"bdd"`` is always in
+``available_backends()``.  Its cost scales with *BDD size*, not with
+``|W|``: on structures whose relations and extensions compress well
+(observational indistinguishability over variable assignments — the paper's
+contexts — compresses extremely well) it can evaluate over world counts the
+bitset backend cannot touch.
 
 Observability: the backend implements the
 :meth:`~repro.engine.backend.SetBackend.cache_info` /
@@ -227,9 +226,7 @@ class SymbolicBackend(SetBackend):
     # manager's shared ``ite``/``and_exists`` memo caches: operands that
     # share subdiagrams (guards over shared subformulas — the normal case in
     # ``Evaluator.extensions``) hit the same cache entries, so the marginal
-    # cost of an operand is the work on its *distinct* part only.  There is
-    # no wider stacked representation to exploit, so no column packing as in
-    # the matrix backend.
+    # cost of an operand is the work on its *distinct* part only.
 
     def knows_many(self, structure, agent, inners):
         if not inners:

@@ -46,8 +46,7 @@ The kernel provides:
   pending reorder at a *safe point* (no kernel operation may be in flight).
 
 Everything is plain Python — no third-party dependency — so the ``"bdd"``
-world-set backend built on top of this module is always available, unlike
-the NumPy-gated ``"matrix"`` backend.
+world-set backend built on top of this module is always available.
 
 Complement edges are deliberately omitted: negation is a memoised ``ite``
 against the terminals, which keeps node identity simple (one id per

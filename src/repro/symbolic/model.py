@@ -65,6 +65,7 @@ from repro.engine import evaluator_for
 from repro.interpretation.functional import GuardTable
 from repro.modeling.expressions import Expression
 from repro.modeling.state_space import Assignment, State, StateSpace, atom_name
+from repro.symbolic.backend_bdd import SymbolicWorldSet
 from repro.symbolic.bdd import FALSE, TRUE
 from repro.symbolic.compile import VariableEncoding
 from repro.systems.actions import NOOP_NAME
@@ -516,7 +517,7 @@ class StateSetEncoding:
 
     ``domain`` is the state set itself — complements, box operators and
     empty-group conventions are automatically relative to the view's states,
-    exactly as the explicit backends are relative to a structure's worlds.
+    exactly as the bitset backend is relative to a structure's worlds.
     Relations conjoin the state set on both sides of the agent's
     observational equivalence, matching
     :func:`repro.kripke.builders.structure_from_local_states`.
@@ -687,7 +688,7 @@ class SymbolicStateSetView:
     @property
     def evaluator(self):
         """The persistent evaluator over the view's structure — always the
-        ``"bdd"`` backend: the explicit backends would have to enumerate."""
+        ``"bdd"`` backend: the bitset backend would have to enumerate."""
         return evaluator_for(self.structure, "bdd")
 
     def extension_node(self, formula):
@@ -727,13 +728,6 @@ class SymbolicStateSetView:
             for assignment in self.model.encoding.iter_assignments(node, names)
         }
 
-    def states_with_local_state(self, agent, local_state):
-        """The states of the view carrying the given local state (explicit
-        frozenset — boundary API for compatibility with the scalar path)."""
-        cube = self.model.encoding.cube_node(local_state)
-        node = self.model.encoding.bdd.and_(cube, self.states_node)
-        return frozenset(self.model.encoding.iter_states(node))
-
     def make_guard_table(self, program):
         """Hook for :func:`repro.interpretation.functional.guard_table`."""
         return SymbolicGuardTable(self, program)
@@ -747,9 +741,10 @@ class SymbolicGuardTable(GuardTable):
 
     Point queries (``value``/``holds``/``enabled_actions``) work on single
     local states like the base class, but against witness *cubes* instead of
-    witness frozensets; :meth:`class_values` and :meth:`enabled_sets` decide
-    a guard (a whole agent program) on *every* local-state class of a set at
-    once — the primitive the symbolic round construction is built from.
+    enumerated witness classes; :meth:`class_values` and
+    :meth:`enabled_sets` decide a guard (a whole agent program) on *every*
+    local-state class of a set at once — the primitive the symbolic round
+    construction is built from.
     """
 
     def __init__(self, view, program):
@@ -793,7 +788,7 @@ class SymbolicGuardTable(GuardTable):
         :class:`InterpretationError` under ``require_local``; with the flag
         off such classes read the guard existentially (they count as
         enabled), matching
-        :func:`repro.interpretation.functional.guard_holds_at_local`.
+        :meth:`repro.interpretation.functional.GuardTable.holds`.
         Classes outside ``classes_node`` never influence the outcome — a
         guard may freely be non-local on classes decided (and frozen) in
         earlier rounds."""
@@ -832,29 +827,13 @@ class SymbolicGuardTable(GuardTable):
 
     # -- per-local-state decisions (base-class API) ------------------------------------
 
-    def value(self, agent, local_state, guard):
-        key = (agent, local_state, guard)
-        try:
-            return self._values[key]
-        except KeyError:
-            pass
+    def _witness_ws(self, agent, local_state):
+        """The agent's class of ``local_state`` as a BDD world-set: the
+        local state's cube restricted to the view, never enumerated."""
         view = self.view
         encoding = view.model.encoding
-        bdd = encoding.bdd
-        witnesses = bdd.and_(encoding.cube_node(local_state), view.states_node)
-        if witnesses == FALSE:
-            raise InterpretationError(
-                f"no state in the view has local state {local_state!r} for agent {agent!r}"
-            )
-        extension = self._guard_extension(guard).node
-        if bdd.diff(witnesses, extension) == FALSE:
-            value = True
-        elif bdd.and_(witnesses, extension) == FALSE:
-            value = False
-        else:
-            value = None
-        self._values[key] = value
-        return value
+        node = encoding.bdd.and_(encoding.cube_node(local_state), view.states_node)
+        return SymbolicWorldSet(view.structure.encoding, node)
 
 
 def compile_context(context):

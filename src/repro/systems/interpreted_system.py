@@ -18,7 +18,7 @@ guarantee unique interpretability:
   depth at most ``k`` (not knowing has a witness in the past).
 """
 
-from repro.engine import evaluator_for, local_guard_value
+from repro.engine import evaluator_for
 from repro.kripke.builders import structure_from_local_states
 from repro.logic.formula import Knows
 from repro.systems.context import LocalStateIndexMixin
@@ -107,35 +107,6 @@ class InterpretedSystem(LocalStateIndexMixin):
     def holds_everywhere(self, formula):
         """Return ``True`` iff ``formula`` holds at every reachable state."""
         return self.extension(formula) == frozenset(self.states)
-
-    def guard_value(self, agent, local_state, formula):
-        """Evaluate a knowledge-based-program guard at a *local* state.
-
-        The paper requires guards to be local to the acting agent (boolean
-        combinations of ``K_a ...`` tests and propositions about the agent's
-        own local state), so the guard has the same value at every reachable
-        global state with this local state.  The value is computed at one
-        such state and checked for consistency across all of them; if no
-        reachable state has this local state the convention ``K_a phi = true``
-        / ``M_a phi = false`` applies, which here amounts to evaluating the
-        guard over the empty set of indistinguishable states — the caller
-        (:mod:`repro.interpretation.functional`) handles that case.
-
-        Raises :class:`ModelError` if the guard is not local (its value
-        differs between two states the agent cannot distinguish).
-        """
-        witnesses = self.states_with_local_state(agent, local_state)
-        if not witnesses:
-            raise ModelError(
-                f"no reachable state has local state {local_state!r} for agent {agent!r}"
-            )
-        value = local_guard_value(self.evaluator, witnesses, formula)
-        if value is None:
-            raise ModelError(
-                f"guard {formula} of agent {agent!r} is not local: it differs on "
-                f"states that share the local state {local_state!r}"
-            )
-        return value
 
     # -- structural properties --------------------------------------------------------
 

@@ -3,13 +3,11 @@
 
 Every test that checks backend behaviour is parametrised over
 ``available_backends()`` — the live registry — so a newly registered
-backend (e.g. the NumPy ``matrix`` backend) is pulled into the equivalence
-harness automatically, and a backend whose optional dependency is missing
-drops out without failures.  :class:`FrozensetBackend` is the semantic
-reference every other backend is compared against.
+backend is pulled into the equivalence harness automatically.  The
+definitional oracle :mod:`repro.oracle`, which shares no code with the
+engine, is the semantic reference every backend is compared against.
 """
 
-import importlib.util
 import os
 import random
 import subprocess
@@ -19,19 +17,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import oracle
 from repro.engine import (
     BitsetBackend,
     Evaluator,
-    FrozensetBackend,
     available_backends,
-    backend_available,
     backend_by_name,
     evaluator_for,
     get_default_backend,
-    local_guard_value,
     register_backend,
-    registered_backends,
     set_default_backend,
+    uniform_value,
     unregister_backend,
     use_backend,
 )
@@ -61,9 +57,25 @@ PROPS = ("p", "q", "r")
 # tests below mutate it (with cleanup), so the parametrisation lists are
 # fixed here.
 BACKENDS = available_backends()
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 all_backends = pytest.mark.parametrize("backend_name", BACKENDS)
+
+
+def reference_extension(structure, formula):
+    """The oracle's extension of ``formula`` over ``structure``."""
+    return oracle.extension(
+        formula, structure.worlds, structure.accessible, structure.labels
+    )
+
+
+def reference_reachable(structure, start, agents=None):
+    """The oracle's closure of ``start`` under the agents' relations."""
+    agents = structure.agents if agents is None else agents
+
+    def successors(world):
+        return {v for agent in agents for v in structure.accessible(agent, world)}
+
+    return oracle.closure(start, successors)
 
 
 def random_structure(rng, max_worlds=9):
@@ -124,19 +136,16 @@ class TestBackendEquivalence:
     def test_every_construct_agrees_on_random_structures(self, backend_name, seed):
         rng = random.Random(seed)
         structure = random_structure(rng)
-        reference = Evaluator(structure, FrozensetBackend())
         candidate = Evaluator(structure, backend_by_name(backend_name))
         for formula in formula_suite(structure.agents):
-            expected = reference.extension(formula)
+            expected = reference_extension(structure, formula)
             actual = candidate.extension(formula)
             assert actual == expected, (
                 f"backend {backend_name!r} disagrees on {formula} "
                 f"over {structure.describe()}"
             )
             for world in structure.worlds:
-                assert reference.holds(world, formula) == candidate.holds(
-                    world, formula
-                )
+                assert candidate.holds(world, formula) == (world in expected)
 
     @all_backends
     @settings(max_examples=25, deadline=None)
@@ -147,18 +156,15 @@ class TestBackendEquivalence:
         start = {w for w in structure.worlds if rng.random() < 0.4}
         if not start:
             start = {structure.worlds[0]}
-        reference = FrozensetBackend()
         candidate = backend_by_name(backend_name)
-        expected = reference.reachable(structure, start)
+        expected = reference_reachable(structure, start)
         actual = candidate.to_frozenset(
             structure, candidate.reachable(structure, start)
         )
         assert actual == expected
-        with use_backend("frozenset"):
-            sub_reference = generated_substructure(structure, start)
         with use_backend(backend_name):
             sub_candidate = generated_substructure(structure, start)
-        assert set(sub_reference.worlds) == set(sub_candidate.worlds)
+        assert set(sub_candidate.worlds) == expected
 
     @all_backends
     @settings(max_examples=25, deadline=None)
@@ -170,11 +176,10 @@ class TestBackendEquivalence:
         start = {w for w in structure.worlds if rng.random() < 0.4}
         if not start:
             start = {structure.worlds[0]}
-        reference = FrozensetBackend()
         candidate = backend_by_name(backend_name)
         subsets = [(), structure.agents[:1], structure.agents[1:], structure.agents]
         for agents in subsets:
-            expected = reference.reachable(structure, start, agents=agents)
+            expected = reference_reachable(structure, start, agents=agents)
             actual = candidate.to_frozenset(
                 structure, candidate.reachable(structure, start, agents=agents)
             )
@@ -211,7 +216,7 @@ class TestBackendEquivalence:
 
     def test_public_extension_matches_all_backends(self, two_agent_structure):
         formula = Knows("a", Or((Prop("p"), Prop("q"))))
-        reference = extension(two_agent_structure, formula, backend="frozenset")
+        reference = reference_extension(two_agent_structure, formula)
         for backend_name in BACKENDS:
             assert (
                 extension(two_agent_structure, formula, backend=backend_name)
@@ -222,7 +227,7 @@ class TestBackendEquivalence:
 class TestBatchedEvaluation:
     """`Evaluator.extensions` and the backend ``*_many`` operators must agree
     with the scalar path on every backend — including the generic
-    scalar-loop fallback used by bitset/frozenset."""
+    scalar-loop fallback used by bitset."""
 
     @all_backends
     @settings(max_examples=40, deadline=None)
@@ -236,8 +241,9 @@ class TestBatchedEvaluation:
         )
         scalar = Evaluator(structure, backend_by_name(backend_name))
         assert batched == [scalar.extension(formula) for formula in formulas]
-        reference = Evaluator(structure, FrozensetBackend())
-        assert batched == [reference.extension(formula) for formula in formulas]
+        assert batched == [
+            reference_extension(structure, formula) for formula in formulas
+        ]
 
     @all_backends
     @settings(max_examples=25, deadline=None)
@@ -306,7 +312,7 @@ class TestBatchedEvaluation:
     def test_same_relation_operands_share_one_batch_call(self, two_agent_structure):
         calls = []
 
-        class CountingBackend(FrozensetBackend):
+        class CountingBackend(BitsetBackend):
             name = "counting"
 
             def knows_many(self, structure, agent, inners):
@@ -366,6 +372,30 @@ class TestEvaluatorCaching:
         assert formula in evaluator.cache
         assert evaluator_for(two_agent_structure) is evaluator
 
+    def test_backend_instance_gets_its_own_evaluator(self, two_agent_structure):
+        # Regression: the memo used to be keyed by backend *name*, so an
+        # instance sharing a registered backend's name silently received
+        # that backend's evaluator and its operators never ran.
+        calls = []
+
+        class Counting(BitsetBackend):
+            def knows(self, structure, agent, inner):
+                calls.append(agent)
+                return super().knows(structure, agent, inner)
+
+            def knows_many(self, structure, agent, inners):
+                calls.append(agent)
+                return super().knows_many(structure, agent, inners)
+
+        formula = Knows("a", Prop("p"))
+        expected = extension(two_agent_structure, formula, backend="bitset")
+        assert Counting.name == "bitset"
+        assert extension(two_agent_structure, formula, backend=Counting()) == expected
+        assert calls
+        shared = evaluator_for(two_agent_structure, "bitset")
+        assert evaluator_for(two_agent_structure, backend_by_name("bitset")) is shared
+        assert evaluator_for(two_agent_structure, Counting()) is not shared
+
     def test_distinct_backends_get_distinct_evaluators(self, two_agent_structure):
         evaluators = [
             evaluator_for(two_agent_structure, name) for name in BACKENDS
@@ -423,9 +453,10 @@ class TestEvaluatorCaching:
         assert after["cache.ite.size"] == 0 and after["cache.op.size"] == 0
         assert after["memo.sets"] == 0 and after["memo.masks"] == 0
         assert after["unique.nodes"] == before["unique.nodes"]
-        reference = Evaluator(two_agent_structure, FrozensetBackend())
         formula = Knows("a", Prop("p"))
-        assert evaluator.extension(formula) == reference.extension(formula)
+        assert evaluator.extension(formula) == reference_extension(
+            two_agent_structure, formula
+        )
 
     def test_holds_validates_world(self, two_agent_structure):
         with pytest.raises(ModelError):
@@ -454,14 +485,14 @@ class TestKnowledgeLevelValidation:
             states = two_agent_structure.worlds
 
         formula = Or((Prop("p"), Not(Prop("p"))))
-        with use_backend("frozenset"):
+        with use_backend("bitset"):
             expected = knowledge_level_reached(SystemShim(), "w00", formula, ("a", "b"))
         with use_backend(backend_name):
             actual = knowledge_level_reached(SystemShim(), "w00", formula, ("a", "b"))
         assert actual == expected
 
 
-class TestLocalGuardValue:
+class TestUniformValue:
     @all_backends
     def test_uniform_and_non_local_guards(self, backend_name):
         structure = EpistemicStructure(
@@ -470,9 +501,15 @@ class TestLocalGuardValue:
             {"u": {"p"}, "v": {"p"}, "w": set()},
         )
         evaluator = evaluator_for(structure, backend_name)
-        assert local_guard_value(evaluator, {"u", "v"}, Prop("p")) is True
-        assert local_guard_value(evaluator, {"w"}, Prop("p")) is False
-        assert local_guard_value(evaluator, {"u", "w"}, Prop("p")) is None
+        backend = evaluator.backend
+        p = evaluator.extension_ws(Prop("p"))
+
+        def value(worlds):
+            return uniform_value(backend, backend.from_worlds(structure, worlds), p)
+
+        assert value({"u", "v"}) is True
+        assert value({"w"}) is False
+        assert value({"u", "w"}) is None
 
     @all_backends
     def test_empty_witness_class_is_vacuously_true(self, backend_name):
@@ -485,34 +522,45 @@ class TestLocalGuardValue:
             ["u"], {"a": {"u": {"u"}}}, {"u": set()}
         )
         evaluator = evaluator_for(structure, backend_name)
-        assert local_guard_value(evaluator, (), Prop("p")) is True
-        assert local_guard_value(evaluator, (), FALSE) is True
+        backend = evaluator.backend
+        empty = backend.empty(structure)
+        for guard in (Prop("p"), FALSE):
+            assert uniform_value(backend, empty, evaluator.extension_ws(guard)) is True
 
 
 class TestBackendRegistry:
     def test_builtins_are_registered(self):
-        names = available_backends()
-        assert {"bitset", "frozenset", "bdd"} <= set(names)
-        assert names == sorted(names)
+        assert available_backends() == ["bdd", "bitset"]
         assert backend_by_name("bitset").name == "bitset"
         with pytest.raises(EngineError):
             backend_by_name("no-such-backend")
 
     def test_bdd_backend_needs_no_optional_dependency(self):
-        # The symbolic backend is pure Python: unlike "matrix" it must be
-        # available unconditionally.
-        assert backend_available("bdd")
+        # The symbolic backend is pure Python: it is available
+        # unconditionally.
         assert backend_by_name("bdd").name == "bdd"
 
-    def test_matrix_backend_listed_iff_numpy_importable(self):
-        assert "matrix" in registered_backends()
-        assert ("matrix" in available_backends()) == HAS_NUMPY
-        assert backend_available("matrix") == HAS_NUMPY
+    def test_unknown_default_backend_is_rejected_at_import(self):
+        # The removed backends' names must fail loudly, naming the two that
+        # remain, instead of silently falling back to the default.
+        src_dir = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["REPRO_SET_BACKEND"] = "frozenset"
+        env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-c", "import repro.engine"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode != 0
+        assert "EngineError" in run.stderr
+        assert "'bdd', 'bitset'" in run.stderr
 
     def test_register_backend_lazy_singleton(self):
         instantiations = []
 
-        class DummyBackend(FrozensetBackend):
+        class DummyBackend(BitsetBackend):
             name = "dummy"
 
             def __init__(self):
@@ -528,50 +576,30 @@ class TestBackendRegistry:
         finally:
             unregister_backend("dummy")
         assert "dummy" not in available_backends()
-        assert "dummy" not in registered_backends()
 
     def test_duplicate_registration_requires_replace(self):
-        register_backend("dummy2", FrozensetBackend)
+        class FirstBackend(BitsetBackend):
+            pass
+
+        register_backend("dummy2", FirstBackend)
         try:
             with pytest.raises(EngineError, match="dummy2"):
                 register_backend("dummy2", BitsetBackend)
             # The rejected re-registration must not have clobbered the
             # original entry (a typo'd name would otherwise silently swap a
             # backend out from under its users).
-            assert isinstance(backend_by_name("dummy2"), FrozensetBackend)
+            assert isinstance(backend_by_name("dummy2"), FirstBackend)
             register_backend("dummy2", BitsetBackend, replace=True)
-            assert isinstance(backend_by_name("dummy2"), BitsetBackend)
+            assert type(backend_by_name("dummy2")) is BitsetBackend
         finally:
             unregister_backend("dummy2")
 
     def test_builtin_names_are_guarded_against_shadowing(self):
         # A plugin accidentally reusing a built-in name must be rejected,
         # not silently replace the engine.
-        for name in ("bitset", "frozenset", "matrix", "bdd"):
+        for name in ("bitset", "bdd"):
             with pytest.raises(EngineError):
-                register_backend(name, FrozensetBackend)
-
-    def test_unavailable_backend_is_hidden_and_refuses_instantiation(self):
-        register_backend("phantom", FrozensetBackend, available=lambda: False)
-        try:
-            assert "phantom" not in available_backends()
-            assert "phantom" in registered_backends()
-            assert not backend_available("phantom")
-            with pytest.raises(EngineError):
-                backend_by_name("phantom")
-        finally:
-            unregister_backend("phantom")
-
-    def test_failing_availability_predicate_counts_as_unavailable(self):
-        def broken():
-            raise RuntimeError("dependency probe exploded")
-
-        register_backend("broken", FrozensetBackend, available=broken)
-        try:
-            assert "broken" not in available_backends()
-            assert not backend_available("broken")
-        finally:
-            unregister_backend("broken")
+                register_backend(name, BitsetBackend)
 
     def test_unregistering_unknown_or_default_backend_raises(self):
         with pytest.raises(EngineError):
@@ -589,54 +617,26 @@ class TestBackendSelection:
         expected = os.environ.get("REPRO_SET_BACKEND", "bitset")
         assert get_default_backend().name == expected
 
+    @staticmethod
+    def _other_backend():
+        return "bdd" if get_default_backend().name != "bdd" else "bitset"
+
     def test_use_backend_restores_previous_default(self):
         before = get_default_backend()
-        with use_backend("frozenset") as backend:
-            assert backend.name == "frozenset"
+        other = self._other_backend()
+        with use_backend(other) as backend:
+            assert backend.name == other
             assert get_default_backend() is backend
         assert get_default_backend() is before
 
     def test_set_default_backend_accepts_instances_and_names(self):
-        previous = set_default_backend("frozenset")
+        other = self._other_backend()
+        previous = set_default_backend(other)
         try:
-            assert get_default_backend().name == "frozenset"
+            assert get_default_backend().name == other
         finally:
             set_default_backend(previous)
         assert get_default_backend() is previous
-
-
-class TestLazyNumpyImport:
-    def test_importing_the_engine_does_not_import_numpy(self):
-        # The matrix backend's module (and NumPy) must only load when the
-        # backend is actually requested, never as a side effect of importing
-        # the engine — environments without NumPy rely on this.
-        src_dir = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env.pop("REPRO_SET_BACKEND", None)  # a matrix default would import numpy
-        env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
-        code = (
-            "import sys; import repro.engine; "
-            "assert 'numpy' not in sys.modules, 'numpy imported eagerly'; "
-            "assert 'repro.engine.matrix' not in sys.modules; "
-            # A star-import must not resolve MatrixBackend through
-            # __getattr__ either — that would pull NumPy in eagerly and
-            # crash outright in NumPy-less environments.
-            "exec('from repro.engine import *'); "
-            "assert 'numpy' not in sys.modules, 'star-import pulled numpy in'"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
-    def test_matrix_backend_attribute_loads_lazily(self):
-        from repro.engine import MatrixBackend
-
-        assert backend_by_name("matrix").__class__ is MatrixBackend
-
-    def test_unknown_engine_attribute_raises(self):
-        import repro.engine
-
-        with pytest.raises(AttributeError):
-            repro.engine.does_not_exist
 
 
 class TestEmptyGroupRelations:
@@ -654,16 +654,19 @@ class TestEmptyGroupRelations:
     def test_backends_agree_on_empty_group_operators(
         self, backend_name, two_agent_structure
     ):
+        # By definition E[{}] phi holds everywhere (no agent has to know),
+        # and D[{}] phi quantifies over every world, so it holds everywhere
+        # if phi does and nowhere otherwise; ``p`` holds only somewhere.
         structure = two_agent_structure
-        reference = FrozensetBackend()
         candidate = backend_by_name(backend_name)
         inner_worlds = frozenset(
             world for world in structure.worlds if structure.label_holds(world, "p")
         )
+        assert inner_worlds and inner_worlds != frozenset(structure.worlds)
         inner = candidate.from_worlds(structure, inner_worlds)
         assert candidate.to_frozenset(
             structure, candidate.distributed_knows(structure, (), inner)
-        ) == reference.distributed_knows(structure, (), inner_worlds)
+        ) == frozenset()
         assert candidate.to_frozenset(
             structure, candidate.everyone_knows(structure, (), inner)
-        ) == reference.everyone_knows(structure, (), inner_worlds)
+        ) == frozenset(structure.worlds)

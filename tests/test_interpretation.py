@@ -4,6 +4,7 @@ and the uniqueness conditions."""
 
 import pytest
 
+from repro import oracle
 from repro.interpretation import (
     StateSetView,
     check_implementation,
@@ -12,7 +13,6 @@ from repro.interpretation import (
     depends_on_past,
     derive_protocol,
     enumerate_implementations,
-    guard_holds_at_local,
     guard_table,
     implements,
     iterate_interpretation,
@@ -130,25 +130,21 @@ class TestFunctional:
 
 
 class TestGuardTable:
-    """The batched guards x local-class table must agree with the scalar
-    :func:`guard_holds_at_local` path on every (agent, local state, clause)
-    triple — non-local guards included."""
+    """The batched guards x local-class table must agree with the
+    definitional oracle (:func:`repro.oracle.guard_value`) on every (agent,
+    local state, clause) triple — non-local guards included."""
 
-    def _assert_agrees(self, view, program, require_local=True):
+    def _assert_agrees(self, view, program):
         table = guard_table(view, program)
         checked = 0
         for agent_program in program:
             agent = agent_program.agent
             for local_state in view.local_states(agent):
                 for clause in agent_program.clauses:
-                    expected = guard_holds_at_local(
-                        view, agent, local_state, clause.guard,
-                        require_local=require_local,
+                    expected = oracle.guard_value(
+                        view.context, view.states, agent, local_state, clause.guard
                     )
-                    actual = table.holds(
-                        agent, local_state, clause.guard,
-                        require_local=require_local,
-                    )
+                    actual = table.value(agent, local_state, clause.guard)
                     assert actual == expected, (agent, local_state, clause.guard)
                     checked += 1
         assert checked > 0
@@ -187,7 +183,7 @@ class TestGuardTable:
             with pytest.raises(InterpretationError):
                 table.holds("R", local_state, guard)
             assert table.holds("R", local_state, guard, require_local=False) is True
-        self._assert_agrees(view, program, require_local=False)
+        self._assert_agrees(view, program)
 
     def test_unknown_local_state_raises(self, bt_solution):
         table = guard_table(bt_solution.system, bit_transmission.program())
@@ -201,41 +197,6 @@ class TestGuardTable:
         # A structurally identical but distinct program object gets its own
         # table (identity keying: programs are mutable containers).
         assert guard_table(bt_solution.system, bit_transmission.program()) is not first
-
-    def test_evaluator_less_view_falls_back_to_frozensets(self, bt_solution):
-        system = bt_solution.system
-
-        class DuckView:
-            """A view exposing only the minimal protocol, no evaluator."""
-
-            context = system.context
-
-            @property
-            def states(self):
-                return system.states
-
-            def extension(self, formula):
-                return system.extension(formula)
-
-            def local_states(self, agent):
-                return system.local_states(agent)
-
-            def states_with_local_state(self, agent, local_state):
-                # Deliberately a list, not a set: duck views may return any
-                # iterable of states (regression: the frozenset fallback used
-                # to apply set operators to it directly).
-                return list(system.states_with_local_state(agent, local_state))
-
-        program = bit_transmission.program()
-        duck_table = guard_table(DuckView(), program)
-        reference = guard_table(system, program)
-        for agent_program in program:
-            agent = agent_program.agent
-            for local_state in system.local_states(agent):
-                for clause in agent_program.clauses:
-                    assert duck_table.value(
-                        agent, local_state, clause.guard
-                    ) == reference.value(agent, local_state, clause.guard)
 
     def test_program_agents_outside_the_context_are_ignored(self, bt_solution):
         # Regression: the functional only consults context agents, so a
@@ -256,11 +217,12 @@ class TestGuardTable:
     def test_ad_hoc_guard_outside_the_program(self, bt_solution):
         # Querying a guard the program never mentions goes through the same
         # uniformity logic (lazily evaluated and memoised).
-        table = guard_table(bt_solution.system, bit_transmission.program())
+        system = bt_solution.system
+        table = guard_table(system, bit_transmission.program())
         guard = parse("K[R] sbit | K[R] !sbit")
-        for local_state in bt_solution.system.local_states("R"):
-            assert table.value("R", local_state, guard) == guard_holds_at_local(
-                bt_solution.system, "R", local_state, guard
+        for local_state in system.local_states("R"):
+            assert table.value("R", local_state, guard) == oracle.guard_value(
+                system.context, system.states, "R", local_state, guard
             )
 
 

@@ -177,7 +177,7 @@ class TestSymbolicCheckerBoundary:
 
     def test_non_bdd_backends_are_rejected(self, muddy3):
         with pytest.raises(EngineError):
-            CTLKModelChecker(muddy3, backend="frozenset")
+            CTLKModelChecker(muddy3, backend="bitset")
 
     def test_holds_rejects_unreachable_states(self, muddy3):
         # round = 0 with an already-latched "heard" value never arises.

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.interpretation import construct_by_rounds
+from repro.interpretation import construct_by_rounds, guard_table
 from repro.logic import parse
 from repro.modeling import StateSpace, boolean, ite, ranged, var
+from repro.programs import AgentProgram, Clause, KnowledgeBasedProgram
 from repro.protocols import leader_election, muddy_children
 from repro.systems import (
     Context,
@@ -274,9 +275,13 @@ class TestInterpretedSystem:
     def test_guard_value_requires_local_guard(self, counter_context):
         system = self._system(counter_context, {"inc", "set_flag"})
         local = (("c", 1),)
-        with pytest.raises(ModelError):
-            system.guard_value("agent", local, parse("flag"))
-        assert system.guard_value("agent", local, parse("c=1")) is True
+        flag = parse("flag")
+        program = KnowledgeBasedProgram(
+            [AgentProgram("agent", [Clause(flag, "set_flag")])]
+        )
+        table = guard_table(system, program)
+        assert table.value("agent", local, flag) is None
+        assert table.value("agent", local, parse("c=1")) is True
 
 
 class TestRuns:

@@ -190,7 +190,7 @@ class TestBackendPinning:
         from repro.engine import get_default_backend, use_backend
 
         default_name = get_default_backend().name
-        pinned = "frozenset" if default_name != "frozenset" else "bitset"
+        pinned = "bdd" if default_name != "bdd" else "bitset"
         with use_backend(pinned):
             checker = CTLKModelChecker(bt_system)
             inside = checker.extension(bit_transmission.receiver_knows_bit())
@@ -206,18 +206,18 @@ class TestBackendPinning:
             assert reference.valid(formula) == expected, name
 
     def test_checker_accepts_backend_parameter(self, bt_system):
-        checker = CTLKModelChecker(bt_system, backend="frozenset")
-        assert checker.backend.name == "frozenset"
+        checker = CTLKModelChecker(bt_system, backend="bdd")
+        assert checker.backend.name == "bdd"
         assert checker.valid(AG(parse("sbit | !sbit")))
 
     def test_top_level_epistemic_query_is_batched_once(self, bt_system):
         # Regression: the checker used to prefetch a top-level epistemic
         # formula through the batched path and then recompute it through the
         # scalar path, paying the modal image twice.
-        from repro.engine import FrozensetBackend
+        from repro.engine import BitsetBackend
         from repro.logic.formula import Knows, Prop
 
-        class CountingBackend(FrozensetBackend):
+        class CountingBackend(BitsetBackend):
             name = "counting"
 
             def __init__(self):
@@ -231,7 +231,7 @@ class TestBackendPinning:
             def knows_many(self, structure, agent, inners):
                 self.many_calls += 1
                 return [
-                    FrozensetBackend.knows(self, structure, agent, inner)
+                    BitsetBackend.knows(self, structure, agent, inner)
                     for inner in inners
                 ]
 
@@ -253,8 +253,8 @@ class TestBackendPinning:
             {"a": {"u": {"v"}, "v": {"v"}, "w": {"w"}}},
             {"u": set(), "v": {"p"}, "w": set()},
         )
-        explicit = generated_substructure(structure, {"u"}, backend="frozenset")
-        with use_backend("frozenset"):
+        explicit = generated_substructure(structure, {"u"}, backend="bdd")
+        with use_backend("bdd"):
             ambient = generated_substructure(structure, {"u"})
         assert set(explicit.worlds) == set(ambient.worlds) == {"u", "v"}
 
