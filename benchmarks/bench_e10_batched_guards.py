@@ -8,10 +8,10 @@ operator and agent and dispatched through the backend ``*_many`` calls) on
 guard suites shaped like program clause guards, over observability
 structures of 256 and 1024 worlds.
 
-On the bdd backend the batched path resolves each relation once and runs
-the whole batch against the kernel's shared operation caches; on bitset the
-generic scalar-loop fallback makes both paths equivalent (measured here to
-confirm the batch API adds no overhead).
+Both backends run a batch through the generic scalar loop of
+``SetBackend`` (on bdd its operands share the kernel's operation caches),
+so the two paths should measure alike: this confirms the batch API adds no
+overhead.
 """
 
 import pytest

@@ -17,9 +17,9 @@ the handful of primitive operations the evaluator needs:
 * batched forms of the modal and group operators (``knows_many``,
   ``possible_many``, ``everyone_knows_many``, ``common_knows_many``,
   ``distributed_knows_many``) that apply one operator to many operand
-  world-sets against the same relation.  :class:`SetBackend` provides a
-  generic scalar-loop fallback, so every backend supports the batch API;
-  the BDD backend runs a batch against its shared operation caches.
+  world-sets against the same relation.  :class:`SetBackend` provides the
+  generic scalar loop every backend uses (on the BDD backend the loop's
+  operands share the manager's operation caches).
 
 Two backends ship with the library:
 
@@ -32,12 +32,16 @@ Two backends ship with the library:
     instead of a breadth-first search per world.  This is the fast default.
 
 :class:`repro.symbolic.backend_bdd.SymbolicBackend`
-    The symbolic backend (``"bdd"``): world-sets as ROBDD nodes over a
-    ``ceil(log2 |W|)``-variable encoding of the dense world index, modal
-    operators as relational products against relation BDDs, group/common
-    knowledge and reachability as BDD fixed points.  Its cost scales with
-    BDD size rather than ``|W|``; the kernel is pure Python and is loaded
-    on first request.
+    The symbolic backend (``"bdd"``): world-sets as ROBDD nodes, modal
+    operators as boxes over the structure encoding's existential image,
+    common knowledge and reachability as BDD fixed points over it.  On the
+    enumeration-free views of :mod:`repro.symbolic.model` the image is an
+    observation projection (states agreeing on an agent's observables are
+    the ones it cannot tell apart); on an enumerated structure — a
+    ``ceil(log2 |W|)``-variable encoding of the dense world index — it is a
+    relational product through relation BDDs.  Its cost scales with BDD
+    size rather than ``|W|``; the kernel is pure Python and is loaded on
+    first request.
 
 Backends are registered through :func:`register_backend`, which takes a
 *factory* (instantiated on first request), so a backend costs nothing
@@ -90,9 +94,11 @@ def accessibility_masks(structure, agent):
 def group_masks(structure, group, mode):
     """Return the per-world masks of a group relation (union or intersection).
 
-    The intersection over an *empty* group is the full relation (every world
-    sees every world), matching
-    :meth:`repro.kripke.structure.EpistemicStructure.group_relation`.
+    The union over an *empty* group is the empty relation (``E[{}] phi``
+    holds everywhere); the intersection over it is the full relation —
+    every world sees every world — so ``D[{}] phi`` holds exactly when
+    ``phi`` holds everywhere (distributed knowledge of nobody is the
+    weakest group knowledge).
     """
     cache = structure.engine_cache
     key = ("group_masks", _group_key(group), mode)
@@ -248,9 +254,8 @@ class SetBackend:
     # Each ``*_many`` method applies one modal operator to a whole *batch* of
     # operand world-sets against the same agent/group relation and returns the
     # list of results in operand order.  The default implementations below are
-    # the generic scalar-loop fallback, correct for every backend; a backend
-    # whose representation supports a true multi-operand pass overrides them
-    # (the BDD backend resolves the relation once per batch).
+    # the generic scalar loop, correct for every backend; a backend whose
+    # representation supports a true multi-operand pass may override them.
     # ``Evaluator.extensions`` groups the epistemic nodes
     # of a formula batch by ``(operator, agent/group)`` and dispatches each
     # group through exactly one of these calls.

@@ -12,7 +12,7 @@ ops of the same algorithms.
     :func:`repro.interpretation.iteration.construct_by_rounds`: the view of
     a round is a :class:`~repro.symbolic.model.SymbolicStateSetView` over
     the accumulated reachable-set BDD, so guard extensions are computed by
-    the ``"bdd"`` backend's relational products; the per-local-state
+    the ``"bdd"`` backend as observation projections; the per-local-state
     decision loop of the explicit round becomes one
     :meth:`~repro.symbolic.model.SymbolicGuardTable.enabled_sets` call per
     agent (guard uniformity over a whole set of indistinguishability classes
@@ -161,7 +161,7 @@ class SymbolicConstructionOps(_SymbolicOps):
         decided = dict(self.decided)
         selection = {agent: dict(actions) for agent, actions in self.selection.items()}
         for agent in model.agents:
-            new_classes = bdd.diff(view.project(agent, self.frontier), decided[agent])
+            new_classes = bdd.diff(model.project(agent, self.frontier), decided[agent])
             if new_classes == FALSE:
                 continue
             enabled = table.enabled_sets(agent, new_classes, require_local=self.require_local)
@@ -301,7 +301,7 @@ def _reach(program, model, selection):
     while frontier != FALSE:
         rounds += 1
         for agent in model.agents:
-            projected = _project(model, agent, frontier)
+            projected = model.project(agent, frontier)
             uncovered = bdd.diff(projected, covered[agent])
             if uncovered == FALSE:
                 continue
@@ -321,17 +321,9 @@ def _reach(program, model, selection):
     return seen, rounds, selection
 
 
-def _project(model, agent, node):
-    """Project a state-set BDD onto ``agent``'s observable variables."""
-    levels = model.non_observable_levels(agent)
-    if not levels:
-        return node
-    return model.encoding.bdd.exists(node, levels)
-
-
 def _occupied_classes(model, states):
     """Per agent, the local-state classes meeting ``states``."""
-    return {agent: _project(model, agent, states) for agent in model.agents}
+    return {agent: model.project(agent, states) for agent in model.agents}
 
 
 def _derive_selection(program, model, states, occupied, require_local):
@@ -492,7 +484,7 @@ def _candidate_reach(model, program, joint_protocol):
     while frontier != FALSE:
         rounds += 1
         for agent in model.agents:
-            new_classes = bdd.diff(_project(model, agent, frontier), covered[agent])
+            new_classes = bdd.diff(model.project(agent, frontier), covered[agent])
             if new_classes == FALSE:
                 continue
             names = model.observables[agent]
@@ -773,11 +765,11 @@ class SymbolicSystem:
         self-loop, matching the explicit CTLK ops' path-quantification
         convention.
 
-        Assembled exactly like one :meth:`SymbolicContextModel.successors`
-        image — frame ∧ environment ∧ per-agent selected effects under the
-        frozen protocol — but kept as a relation instead of being collapsed
-        into an image, so temporal fixed points can take pre-images through
-        it with one ``and_exists`` each.
+        The model's :meth:`~repro.symbolic.model.SymbolicContextModel.joint_relation`
+        under the frozen protocol — the relation each
+        :meth:`~repro.symbolic.model.SymbolicContextModel.successors` image
+        is taken through — kept as a relation so temporal fixed points can
+        take pre-images through it with one ``and_exists`` each.
         """
         if self._transition_node is not None:
             return self._transition_node
@@ -790,16 +782,7 @@ class SymbolicSystem:
         model = self.model
         encoding = model.encoding
         bdd = encoding.bdd
-        relation = bdd.and_(model._frame, model._env_relation)
-        for agent in model.agents:
-            effects = model._agent_effects[agent]
-            choice = FALSE
-            for action, classes in self.selection.get(agent, {}).items():
-                if classes == FALSE:
-                    continue
-                effect_relation, _ = effects[action]
-                choice = bdd.or_(choice, bdd.and_(classes, effect_relation))
-            relation = bdd.and_(relation, choice)
+        relation = model.joint_relation(self.selection)
         relation = bdd.and_(relation, self.states_node)
         relation = bdd.and_(relation, encoding.prime(self.states_node))
         deadlocks = bdd.diff(

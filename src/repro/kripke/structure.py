@@ -256,38 +256,6 @@ class EpistemicStructure:
             agents=self._agents,
         )
 
-    def group_relation(self, group, mode):
-        """Return the adjacency map of a *group* relation.
-
-        ``mode`` is ``"union"`` (used for everyone-knows / common knowledge)
-        or ``"intersection"`` (used for distributed knowledge).
-
-        The empty group is well defined in both modes: the union over no
-        agents is the empty relation (so ``E[{}] phi`` is vacuously true),
-        and the intersection over no agents is the *full* relation — every
-        world sees every world — so ``D[{}] phi`` holds exactly when ``phi``
-        holds everywhere (distributed knowledge of nobody is the weakest
-        group knowledge).
-        """
-        group = tuple(group)
-        for agent in group:
-            if not self.has_agent(agent):
-                raise ModelError(f"unknown agent {agent!r}")
-        all_worlds = frozenset(self._worlds)
-        result = {}
-        for world in self._worlds:
-            per_agent = [self.accessible(agent, world) for agent in group]
-            if mode == "union":
-                combined = frozenset().union(*per_agent) if per_agent else frozenset()
-            elif mode == "intersection":
-                combined = per_agent[0] if per_agent else all_worlds
-                for succ in per_agent[1:]:
-                    combined = combined & succ
-            else:
-                raise ValueError(f"unknown group relation mode {mode!r}")
-            result[world] = combined
-        return result
-
     # -- value semantics & debugging --------------------------------------------
 
     def __eq__(self, other):

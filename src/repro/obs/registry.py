@@ -39,8 +39,9 @@ Canonical vocabulary
     CTLK formula caches; ``memo.formulas.high_water`` survives
     ``clear_cache``), ``memo.frozensets``, ``memo.sets`` / ``memo.masks``
     (state-set encodings), ``memo.cubes`` / ``memo.expressions``
-    (variable encodings), ``memo.relations`` (compiled per-agent
-    relations).
+    (variable encodings), ``memo.relations`` (per-agent and group
+    relation BDDs of the dense-index encoding of an enumerated structure;
+    model views build none).
 
 The same table is rendered in ARCHITECTURE.md's Observability section.
 
@@ -96,7 +97,7 @@ SCHEMA = {
     "memo.masks": "memoised mask nodes of a state-set encoding",
     "memo.cubes": "memoised quantification cubes of a variable encoding",
     "memo.expressions": "memoised compiled expressions of a variable encoding",
-    "memo.relations": "compiled per-agent/transition relations cached",
+    "memo.relations": "relation BDDs cached by a dense-index encoding",
 }
 
 

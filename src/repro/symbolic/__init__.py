@@ -10,11 +10,12 @@ Three layers:
 * :mod:`repro.symbolic.encode` — the symbolic coding of an
   :class:`~repro.kripke.structure.EpistemicStructure`: worlds as boolean
   vectors over ``ceil(log2 |W|)`` variables (current copies above primed
-  copies), accessibility as relation BDDs, all memoised per structure in
-  ``structure.engine_cache``;
+  copies), accessibility as relation BDDs — enumerated structures may carry
+  any relation — all memoised per structure in ``structure.engine_cache``;
 * :mod:`repro.symbolic.backend_bdd` — :class:`SymbolicBackend`, the
   :class:`~repro.engine.backend.SetBackend` implementation registered as
-  ``"bdd"``, whose cost scales with BDD size rather than ``|W|``.
+  ``"bdd"``, whose cost scales with BDD size rather than ``|W|``; it knows
+  no relation, only the encoding's ``pre_image``/``post_image``.
 
 On top of the backend sits the *enumeration-free construction* pipeline:
 
@@ -23,10 +24,12 @@ On top of the backend sits the *enumeration-free construction* pipeline:
   ``Expression → BDD`` compiler (boolean structure directly, arithmetic by
   value-range case splits) that never enumerates states;
 * :mod:`repro.symbolic.model` — :class:`SymbolicContextModel`, the
-  compiled form of a variable context (initial set, observational
-  equivalences, transition relation — all BDDs built straight from the
-  specification), plus the structure/view adapters that plug it into the
-  unmodified ``"bdd"`` backend and evaluator.
+  compiled form of a variable context (initial set and transition
+  relation, BDDs built straight from the specification), plus the
+  structure/view adapters that plug it into the unmodified ``"bdd"``
+  backend and evaluator.  Knowledge needs no relation there: states an
+  agent cannot tell apart agree on its observables, so every modality is a
+  projection onto them.
 
 The backend is registered lazily by :mod:`repro.engine.backend`; importing
 this package directly is only needed to use the kernel, the encodings or

@@ -7,18 +7,27 @@ represented as ROBDDs over the structure's symbolic encoding
 
 * boolean algebra is the memoised ``ite``/apply of the kernel
   (:mod:`repro.symbolic.bdd`);
-* ``possible``/``knows`` are relational products: the existential modal
-  image is ``exists x'. R(x, x') & phi(x')`` — one
-  :meth:`~repro.symbolic.bdd.BDD.and_exists` pass — and the universal image
-  is its dual, complemented inside the valid-code domain;
-* ``everyone_knows`` / ``distributed_knows`` are the same images over the
-  group's union / intersection relation BDD;
-* ``common_knows`` and ``reachable`` are BDD fixed points: canonicity makes
-  the convergence test a node-id comparison;
-* the ``*_many`` batch operators resolve the relation once and run the
-  whole batch against the manager's shared ``ite``/``and_exists`` memo
-  caches, so operands with overlapping subdiagrams — the common case for a
-  guard suite over shared subformulas — pay for shared work once.
+* every modal operator is a box over the encoding's existential image
+  ``pre_image(group, mode, node)`` — the worlds with some group-successor
+  in ``node`` — complemented inside the valid-code domain: ``knows`` and
+  ``possible`` over the singleton group, ``everyone_knows`` over the
+  group's union, ``distributed_knows`` over its intersection;
+* ``common_knows`` and ``reachable`` are BDD fixed points over
+  ``pre_image`` / ``post_image``: canonicity makes the convergence test a
+  node-id comparison;
+* the batch operators are the generic loop of
+  :class:`~repro.engine.backend.SetBackend`: each operand runs against the
+  manager's shared memo caches, so operands with overlapping subdiagrams —
+  the common case for a guard suite over shared subformulas — pay for
+  shared work once.
+
+The backend knows no relation.  How an image is computed is the
+encoding's business: a model view's :class:`~repro.symbolic.model.StateSetEncoding`
+projects onto the agents' observable variables (two states are
+indistinguishable exactly when they agree on them), the dense-index
+:class:`~repro.symbolic.encode.SymbolicEncoding` of an enumerated Kripke
+structure — whose accessibility may be any relation — takes a relational
+product through its relation BDDs.
 
 The kernel is pure Python, so ``"bdd"`` is always in
 ``available_backends()``.  Its cost scales with *BDD size*, not with
@@ -31,9 +40,8 @@ Observability: the backend implements the
 :meth:`~repro.engine.backend.SetBackend.cache_info` /
 :meth:`~repro.engine.backend.SetBackend.clear_cache` hooks, exposing the
 manager's unique-table and operation-cache sizes and dropping the
-(recomputable) operation caches on request — node ids, cached relations
-and cached evaluator extensions all stay valid across a
-:meth:`clear_cache`.
+(recomputable) operation caches on request — node ids and cached
+evaluator extensions all stay valid across a :meth:`clear_cache`.
 """
 
 from repro import obs as _obs
@@ -74,7 +82,8 @@ class SymbolicWorldSet:
 
 
 class SymbolicBackend(SetBackend):
-    """World-sets as ROBDD nodes; modal operators as relational products."""
+    """World-sets as ROBDD nodes; modal operators as boxes over the
+    encoding's images."""
 
     name = "bdd"
 
@@ -136,52 +145,38 @@ class SymbolicBackend(SetBackend):
         encoding = encoding_for(structure)
         return SymbolicWorldSet(encoding, encoding.prop_node(name))
 
-    def _diamond(self, encoding, relation, inner_node):
-        """Existential image: worlds with some relation-successor in the set
-        coded by ``inner_node`` — ``exists x'. R(x, x') & inner(x')``."""
+    def _box(self, encoding, group, mode, inner_node):
+        """Valid worlds all of whose group-successors lie inside the set
+        coded by ``inner_node``: those with no successor outside it."""
         bdd = encoding.bdd
-        return bdd.and_exists(
-            relation, encoding.prime(inner_node), encoding.primed_levels
-        )
-
-    def _avoid(self, encoding, relation, bad_node):
-        """Universal image: valid worlds with *no* relation-successor in the
-        set coded by ``bad_node``."""
-        bdd = encoding.bdd
-        return bdd.diff(encoding.domain, self._diamond(encoding, relation, bad_node))
-
-    def _box(self, encoding, relation, inner_node):
-        """Valid worlds all of whose relation-successors lie inside the set
-        coded by ``inner_node``."""
-        bad = encoding.bdd.diff(encoding.domain, inner_node)
-        return self._avoid(encoding, relation, bad)
+        bad = bdd.diff(encoding.domain, inner_node)
+        return bdd.diff(encoding.domain, encoding.pre_image(group, mode, bad))
 
     def knows(self, structure, agent, inner):
         encoding = inner.encoding
-        relation = encoding.agent_relation(agent)
-        return SymbolicWorldSet(encoding, self._box(encoding, relation, inner.node))
+        return SymbolicWorldSet(encoding, self._box(encoding, (agent,), "union", inner.node))
 
     def possible(self, structure, agent, inner):
         encoding = inner.encoding
-        relation = encoding.agent_relation(agent)
-        return SymbolicWorldSet(encoding, self._diamond(encoding, relation, inner.node))
+        return SymbolicWorldSet(encoding, encoding.pre_image((agent,), "union", inner.node))
 
     def everyone_knows(self, structure, group, inner):
         encoding = inner.encoding
-        relation = encoding.group_relation(group, "union")
-        return SymbolicWorldSet(encoding, self._box(encoding, relation, inner.node))
+        return SymbolicWorldSet(encoding, self._box(encoding, group, "union", inner.node))
 
     def distributed_knows(self, structure, group, inner):
         encoding = inner.encoding
-        relation = encoding.group_relation(group, "intersection")
-        return SymbolicWorldSet(encoding, self._box(encoding, relation, inner.node))
+        return SymbolicWorldSet(
+            encoding, self._box(encoding, group, "intersection", inner.node)
+        )
 
-    def _common_node(self, encoding, relation, inner_node):
+    def common_knows(self, structure, group, inner):
+        encoding = inner.encoding
         bdd = encoding.bdd
         # Least fixed point: worlds from which some ~phi world is reachable
         # in >= 0 steps of the union relation.  Canonicity turns the
         # convergence test into a node-id comparison.
-        tainted = bdd.diff(encoding.domain, inner_node)
+        tainted = bdd.diff(encoding.domain, inner.node)
         iterations = 0
         while True:
             iterations += 1
@@ -197,7 +192,7 @@ class SymbolicBackend(SetBackend):
                     iteration=iterations,
                     node=tainted,
                 )
-            grown = bdd.or_(tainted, self._diamond(encoding, relation, tainted))
+            grown = bdd.or_(tainted, encoding.pre_image(group, "union", tainted))
             if grown == tainted:
                 break
             tainted = grown
@@ -211,83 +206,19 @@ class SymbolicBackend(SetBackend):
             )
         # C[G] phi fails exactly at the worlds with a successor in `tainted`
         # (a path of length >= 1 to a ~phi world).
-        return self._avoid(encoding, relation, tainted)
-
-    def common_knows(self, structure, group, inner):
-        encoding = inner.encoding
-        relation = encoding.group_relation(group, "union")
         return SymbolicWorldSet(
-            encoding, self._common_node(encoding, relation, inner.node)
+            encoding,
+            bdd.diff(encoding.domain, encoding.pre_image(group, "union", tainted)),
         )
-
-    # -- batched epistemic operators ---------------------------------------------------
-    #
-    # One relation lookup for the whole batch, then scalar images through the
-    # manager's shared ``ite``/``and_exists`` memo caches: operands that
-    # share subdiagrams (guards over shared subformulas — the normal case in
-    # ``Evaluator.extensions``) hit the same cache entries, so the marginal
-    # cost of an operand is the work on its *distinct* part only.
-
-    def knows_many(self, structure, agent, inners):
-        if not inners:
-            return []
-        encoding = inners[0].encoding
-        relation = encoding.agent_relation(agent)
-        return [
-            SymbolicWorldSet(encoding, self._box(encoding, relation, inner.node))
-            for inner in inners
-        ]
-
-    def possible_many(self, structure, agent, inners):
-        if not inners:
-            return []
-        encoding = inners[0].encoding
-        relation = encoding.agent_relation(agent)
-        return [
-            SymbolicWorldSet(encoding, self._diamond(encoding, relation, inner.node))
-            for inner in inners
-        ]
-
-    def everyone_knows_many(self, structure, group, inners):
-        if not inners:
-            return []
-        encoding = inners[0].encoding
-        relation = encoding.group_relation(group, "union")
-        return [
-            SymbolicWorldSet(encoding, self._box(encoding, relation, inner.node))
-            for inner in inners
-        ]
-
-    def distributed_knows_many(self, structure, group, inners):
-        if not inners:
-            return []
-        encoding = inners[0].encoding
-        relation = encoding.group_relation(group, "intersection")
-        return [
-            SymbolicWorldSet(encoding, self._box(encoding, relation, inner.node))
-            for inner in inners
-        ]
-
-    def common_knows_many(self, structure, group, inners):
-        if not inners:
-            return []
-        encoding = inners[0].encoding
-        relation = encoding.group_relation(group, "union")
-        return [
-            SymbolicWorldSet(
-                encoding, self._common_node(encoding, relation, inner.node)
-            )
-            for inner in inners
-        ]
 
     # -- reachability ------------------------------------------------------------------
 
     def reachable(self, structure, start_worlds, agents=None):
         if agents is None:
             agents = structure.agents
+        agents = tuple(agents)
         encoding = encoding_for(structure)
         bdd = encoding.bdd
-        relation = encoding.group_relation(tuple(agents), "union")
         seen = self.from_worlds(structure, start_worlds).node
         iterations = 0
         while True:
@@ -304,9 +235,7 @@ class SymbolicBackend(SetBackend):
                     iteration=iterations,
                     node=seen,
                 )
-            # Forward image: exists x. R(x, x') & seen(x), then x' -> x.
-            image = bdd.and_exists(relation, seen, encoding.current_levels)
-            grown = bdd.or_(seen, encoding.unprime(image))
+            grown = bdd.or_(seen, encoding.post_image(agents, "union", seen))
             if grown == seen:
                 break
             seen = grown

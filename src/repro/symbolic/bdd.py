@@ -43,7 +43,8 @@ The kernel provides:
   *group sifting* built on an in-place adjacent-level swap primitive that
   preserves every node id (see below), :meth:`enable_reordering` arms a
   growth trigger on the unique table, and :meth:`maybe_reorder` runs a
-  pending reorder at a *safe point* (no kernel operation may be in flight).
+  pending reorder at a *safe point* (no kernel operation may be in flight),
+  amortised against the operations that triggered it.
 
 Everything is plain Python — no third-party dependency — so the ``"bdd"``
 world-set backend built on top of this module is always available.
@@ -70,9 +71,9 @@ table itself is never cleared.
 
 Sifting measures diagram size over the nodes *live from a caller-supplied
 root set* (tracked incrementally with reference counts during swaps).
-Without roots every table node is pessimistically treated as live, which
-makes the metric monotone in allocations and sifting largely a no-op — pass
-the roots you care about.
+Without roots every table node is pinned as live, so no swap can shrink the
+diagram and the pass settles back at the order it started from — which is
+why the growth-triggered safe point takes roots only.
 
 Keep-groups declared through :meth:`enable_reordering` (e.g. the
 interleaved current/primed bit pairs of the relational encodings) move as
@@ -151,6 +152,8 @@ class BDD:
         "_reorder_count",
         "_swap_count",
         "_last_reorder",
+        "_decided_at",
+        "_sift_limit",
         "_live_ref",
         "_live_size",
         "_budget",
@@ -194,6 +197,11 @@ class BDD:
         self._reorder_count = 0
         self._swap_count = 0
         self._last_reorder = None
+        # The node-array length when the order was last decided (arming or
+        # a reorder), and the length at which a running growth-triggered
+        # sift has spent its allowance (None: explicit, unlimited reorder).
+        self._decided_at = len(self._var)
+        self._sift_limit = None
         self._live_ref = None
         self._live_size = 0
         # Armed by repro.resilience (directly or via the registry hook that
@@ -660,6 +668,7 @@ class BDD:
             self._set_groups(groups)
         self._reorder_enabled = True
         self._auto_trigger = max(self._reorder_threshold, len(self._var) + 1)
+        self._decided_at = len(self._var)
 
     def disable_reordering(self):
         """Disarm the growth trigger (a pending request is dropped)."""
@@ -736,17 +745,26 @@ class BDD:
             level += len(group)
         self._group_order = order
 
-    def maybe_reorder(self, roots=None):
+    def maybe_reorder(self, roots):
         """Run a pending reorder, if any, and return whether one ran.
 
         This is the *safe point* API: callers invoke it between kernel
         operations (fixed-point loop iterations, construction rounds), never
         from within a recursion, because a swap rewrites nodes that in-flight
         operations may hold in local variables.
+
+        A growth-triggered sift is amortised: it may build at most as many
+        nodes as the operations built since the order was last decided.  A
+        pass that spends that allowance before it finishes restores the
+        order it started from — an unfinished pass was never judged as a
+        whole, and the partial order it leaves behind, tuned to the
+        diagrams held at this safe point, can be far worse for the ones
+        still to come.  A sift therefore never costs more than the work it
+        is meant to speed up, and only a completed pass changes the order.
         """
         if not self._reorder_pending or not self._reorder_enabled or self._in_reorder:
             return False
-        self.reorder(roots)
+        self._reorder(roots, len(self._var) - self._decided_at)
         return True
 
     def reorder(self, roots=None):
@@ -773,6 +791,11 @@ class BDD:
         entries are stale); ``ite`` results would remain valid but are
         dropped too for uniformity.
         """
+        return self._reorder(roots, None)
+
+    def _reorder(self, roots, allowance):
+        """:meth:`reorder`, with the pass limited to building ``allowance``
+        nodes (``None``: unlimited) — see :meth:`maybe_reorder`."""
         if self._in_reorder:
             raise EngineError("reorder() re-entered — not a safe point")
         if self._group_order is None:
@@ -803,6 +826,8 @@ class BDD:
             before = live_size
             self._live_ref = live_ref
             self._live_size = live_size
+            if allowance is not None:
+                self._sift_limit = len(self._var) + allowance
             self._in_reorder = True
             try:
                 var_group = {}
@@ -814,12 +839,16 @@ class BDD:
                     group = var_group.get(self._var[u])
                     if group is not None:
                         sizes[group] = sizes.get(group, 0) + 1
+                start_order = list(self._group_order)
                 for group in sorted(
                     self._group_order, key=lambda g: sizes.get(g, 0), reverse=True
                 ):
-                    if sizes.get(group, 0) == 0:
+                    if sizes.get(group, 0) == 0 or self._allowance_spent():
                         continue
                     self._sift_group(group)
+                if self._allowance_spent():
+                    for index, group in enumerate(start_order):
+                        self._move_group(self._group_order.index(group), index)
             except BaseException:
                 # An interruption (cancellation, injected fault, kernel
                 # error) between elementary swaps can leave a keep-group
@@ -833,6 +862,7 @@ class BDD:
             self._in_reorder = False
             self._live_ref = None
             self._var_nodes = None
+            self._sift_limit = None
             # The operation caches' level-keyed entries are stale the moment
             # any level moved (and, after a GC, may reference purged nodes),
             # so they are dropped on *every* exit path; likewise a pending
@@ -840,6 +870,7 @@ class BDD:
             # point would immediately re-enter it.
             self.clear_operation_caches()
             self._reorder_pending = False
+            self._decided_at = len(self._var)
             if self._reorder_enabled:
                 self._auto_trigger = max(self._reorder_threshold, 2 * len(self._var))
             sift_span.__exit__(None, None, None)
@@ -855,6 +886,9 @@ class BDD:
                 trigger=self._auto_trigger,
             )
         return before, after
+
+    def _allowance_spent(self):
+        return self._sift_limit is not None and len(self._var) >= self._sift_limit
 
     def _repair_group_adjacency(self):
         """Recover keep-group adjacency after an interrupted sift.
@@ -1066,7 +1100,11 @@ class BDD:
         ends = (last, 0) if last - start <= start else (0, last)
         for end in ends:
             step = 1 if end > position else -1
-            while position != end and self._live_size <= max_size:
+            while (
+                position != end
+                and self._live_size <= max_size
+                and not self._allowance_spent()
+            ):
                 if step == 1:
                     self._swap_adjacent_groups(position)
                     position += 1

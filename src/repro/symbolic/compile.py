@@ -333,7 +333,7 @@ class VariableEncoding:
         """Yield the satisfying assignments of a set BDD over the named
         variables as ``{name: value}`` dicts (all variables when ``names``
         is ``None``).  The BDD must not depend on any other variable — pass
-        projections (see ``SymbolicStateSetView.project``) for partial
+        projections (see ``SymbolicContextModel.project``) for partial
         views."""
         if names is None:
             order = self.variables

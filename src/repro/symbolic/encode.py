@@ -34,7 +34,11 @@ the world coded by the current variables ``a``-accesses the world coded by
 the primed ones — assembled bottom-up from one primed successor-set BDD per
 world.  Group relations (union for E/C, intersection for D, with the same
 empty-group conventions as everywhere in the library) are derived from
-those.  All encodings are memoised: the :class:`SymbolicEncoding` itself
+those, and the modal images ``pre_image``/``post_image`` the backend asks
+for are relational products through them.  (Enumerated structures may
+carry any relation; the enumeration-free views of
+:mod:`repro.symbolic.model` need none — their images are projections.)
+All encodings are memoised: the :class:`SymbolicEncoding` itself
 (with its private :class:`~repro.symbolic.bdd.BDD` manager) lives in
 ``structure.engine_cache`` like ``accessibility_masks`` does, so it is
 built once per structure and shared by every evaluator.
@@ -128,13 +132,14 @@ class SymbolicEncoding:
 
     # -- boundary protocol -------------------------------------------------------------
     #
-    # The four methods below (plus ``domain``, ``count``, ``prime``/``unprime``,
-    # ``agent_relation``/``group_relation`` and the cache hooks) are the
-    # *encoding protocol* the ``"bdd"`` backend talks to.  Any object that
-    # implements them can stand in for this class — in particular the
-    # variable-level encoding of :mod:`repro.symbolic.model`, whose world
-    # universe is never enumerated; here they are thin wrappers over the
-    # mask codec of the dense-index encoding.
+    # The four methods below (plus ``domain``, ``count``, the images
+    # ``pre_image``/``post_image`` and the cache hooks) are the *encoding
+    # protocol* the ``"bdd"`` backend talks to.  Any object that implements
+    # them can stand in for this class — in particular the variable-level
+    # encoding of :mod:`repro.symbolic.model`, whose world universe is never
+    # enumerated and whose images are observation projections; here they are
+    # thin wrappers over the mask codec and the relation BDDs of the
+    # dense-index encoding.
 
     def worlds_node(self, worlds):
         """The world-set BDD of an iterable of world identifiers."""
@@ -260,6 +265,25 @@ class SymbolicEncoding:
                 raise EngineError(f"unknown group relation mode {mode!r}")
             cache[key] = relation
         return relation
+
+    # -- modal images ------------------------------------------------------------------
+
+    def pre_image(self, group, mode, node):
+        """The worlds with some group-successor in ``node``:
+        ``exists x'. R(x, x') & node(x')`` — one relational product."""
+        return self.bdd.and_exists(
+            self.group_relation(group, mode), self.prime(node), self.primed_levels
+        )
+
+    def post_image(self, group, mode, node):
+        """The group-successors of the worlds in ``node``: ``exists x.
+        R(x, x') & node(x)``, renamed back onto the current variables.  An
+        enumerated structure's accessibility need not be symmetric, so this
+        is a product of its own."""
+        image = self.bdd.and_exists(
+            self.group_relation(group, mode), node, self.current_levels
+        )
+        return self.unprime(image)
 
     def clear_operation_caches(self):
         """Drop every recomputable memo: the manager's operation caches and

@@ -11,9 +11,11 @@ single state:
 
 * the **initial set** and **global constraint** compile through the
   expression compiler (:meth:`VariableEncoding.truth_node`);
-* per-agent **observational equivalence** is the conjunction
-  ``⋀ (obs = obs')`` of per-variable equality BDDs over the agent's
-  observable variables;
+* per-agent **indistinguishability** needs no BDD of its own: two states
+  look the same to an agent exactly when they agree on its observable
+  variables, so every knowledge operator is a *projection* — existential
+  quantification of the variables the agent does not observe
+  (:meth:`SymbolicContextModel.project`);
 * the **transition relation** is assembled from per-variable update
   functions of the named effects: for each participant (environment or
   agent) and each of its actions, the compiled relation constrains exactly
@@ -70,7 +72,7 @@ from repro.symbolic.bdd import FALSE, TRUE
 from repro.symbolic.compile import VariableEncoding
 from repro.systems.actions import NOOP_NAME
 from repro.systems.variable_context import _normalise_actions, _resolve_variable_names
-from repro.util.errors import InterpretationError, ModelError, ProgramError
+from repro.util.errors import EngineError, InterpretationError, ModelError, ProgramError
 
 __all__ = [
     "SymbolicContextModel",
@@ -160,7 +162,6 @@ class SymbolicContextModel:
         self.domain = self.encoding.domain_node()
         if global_constraint is not None:
             self.domain = bdd.and_(self.domain, self.encoding.truth_node(global_constraint))
-        self.domain_primed = self.encoding.prime(self.domain)
 
         # Initial set: compiled constraint, or explicit state cubes.
         if isinstance(initial, Expression):
@@ -184,7 +185,6 @@ class SymbolicContextModel:
                     self._atoms[atom_name(variable, value)] = (variable.name, value)
 
         self._compile_transitions()
-        self._obs_equivalence = {}
         self._non_obs_levels = {}
         self._views = {}
 
@@ -309,28 +309,15 @@ class SymbolicContextModel:
         """The set of local states of ``agent`` over concrete states."""
         return {self.local_state(agent, state) for state in states}
 
-    # -- compiled relations ------------------------------------------------------------
-
-    def obs_equivalence(self, agent):
-        """The observational-equivalence relation BDD of ``agent`` over the
-        *full* code space: ``⋀ (v = v')`` for the agent's observables.
-        (Views conjoin their state set on both sides.)"""
-        cached = self._obs_equivalence.get(agent)
-        if cached is None:
-            if agent not in self.observables:
-                raise ModelError(f"unknown agent {agent!r}")
-            bdd = self.encoding.bdd
-            cached = TRUE
-            for name in reversed(self.observables[agent]):
-                cached = bdd.and_(self.encoding.equality_node(name), cached)
-            self._obs_equivalence[agent] = cached
-        return cached
+    # -- observation projections -------------------------------------------------------
 
     def non_observable_levels(self, agent):
         """The current-variable levels of the variables ``agent`` does not
         observe (the quantification set of local-state projections)."""
         cached = self._non_obs_levels.get(agent)
         if cached is None:
+            if agent not in self.observables:
+                raise ModelError(f"unknown agent {agent!r}")
             observed = set(self.observables[agent])
             levels = []
             for variable in self.state_space.variables:
@@ -339,6 +326,11 @@ class SymbolicContextModel:
             cached = tuple(levels)
             self._non_obs_levels[agent] = cached
         return cached
+
+    def project(self, agent, node):
+        """Project a state-set BDD onto ``agent``'s observable variables:
+        the BDD of the agent's local-state classes meeting the set."""
+        return self.encoding.bdd.exists(node, self.non_observable_levels(agent))
 
     def atom_node(self, name):
         """The (unrestricted) extension BDD of a labelling atom; ``FALSE``
@@ -382,19 +374,15 @@ class SymbolicContextModel:
         again; it also steers the sift's live-size metric towards the
         diagrams that actually matter."""
         roots = list(self.encoding.reorder_roots())
-        roots += (self.domain, self.domain_primed, self.initial, self._frame)
+        roots += (self.domain, self.initial, self._frame)
         roots.append(self._env_relation)
         roots += (illegal for _, illegal in self._env_illegal)
         for table in self._agent_effects.values():
             for relation, illegal in table.values():
                 roots.append(relation)
                 roots.append(illegal)
-        roots += self._obs_equivalence.values()
         for states_node, view in self._views.items():
             roots.append(states_node)
-            encoding = view.structure.encoding
-            roots.append(encoding.domain_primed)
-            roots += encoding._relations.values()
             for entry in view.structure.engine_cache.values():
                 cache = getattr(entry, "cache", None)
                 if isinstance(cache, dict):  # an Evaluator's formula memo
@@ -408,37 +396,54 @@ class SymbolicContextModel:
                     roots.append(false_classes)
         return roots
 
-    def maybe_reorder(self, extra=None):
-        """Safe point: run a pending growth-triggered sift, if any.  Called
-        between (never inside) BDD operations by the transition engine and
-        the symbolic fixed-point loops; returns ``True`` if a reorder ran.
+    def maybe_reorder(self, extra):
+        """Safe point: run a pending growth-triggered sift, if any; returns
+        ``True`` if a reorder ran.  Called between (never inside) BDD
+        operations by the symbolic fixed-point loops, which pass
+        *everything* they hold as ``extra``: together with
+        :meth:`reorder_roots` that is the complete live set, so unreachable
+        junk is collected too.
 
-        With ``extra=None`` the sift is pessimistic (``roots=None``: every
-        node stays valid, only sift transients are collected) — the safe
-        default when callers up the stack may hold nodes of their own.  A
-        caller that can enumerate *everything* it holds passes those nodes
-        as ``extra``; together with :meth:`reorder_roots` they then form the
-        complete live set and unreachable junk is collected too."""
+        There is deliberately no root-less variant: without roots every
+        table node is pinned, the diagram can only grow under a swap, and
+        the sift settles back at the order it started from — all cost and
+        no effect."""
         bdd = self.encoding.bdd
         if not bdd.reorder_pending:
             return False
-        if extra is None:
-            return bdd.maybe_reorder(None)
         return bdd.maybe_reorder(self.reorder_roots() + list(extra))
 
     # -- transitions -------------------------------------------------------------------
 
+    def joint_relation(self, selection):
+        """The joint transition relation BDD over current/primed variable
+        pairs under the (partial) protocol ``selection`` — per agent, a map
+        ``action -> class BDD`` over the agent's observable variables:
+        frame ∧ environment ∧ ⋀_agents ⋁_actions (classes ∧ effect)."""
+        bdd = self.encoding.bdd
+        relation = bdd.and_(self._frame, self._env_relation)
+        for agent in self.agents:
+            effects = self._agent_effects[agent]
+            choice = FALSE
+            for action_name, classes in selection.get(agent, {}).items():
+                if classes == FALSE:
+                    continue
+                entry = effects.get(action_name)
+                if entry is None:
+                    raise ProgramError(f"agent {agent!r} has no action {action_name!r}")
+                choice = bdd.or_(choice, bdd.and_(classes, entry[0]))
+            relation = bdd.and_(relation, choice)
+        return relation
+
     def successors(self, frontier, selection):
         """The successor set of ``frontier`` under the (partial) protocol
-        ``selection`` — per agent, a map ``action -> class BDD`` over the
-        agent's observable variables.
+        ``selection`` (see :meth:`joint_relation`).
 
         Every frontier state must have at least one selected action per
         agent; effects whose computed value leaves a variable's domain and
         transitions into states violating the global constraint raise
         :class:`ModelError`, mirroring the explicit transition function.
         """
-        self.maybe_reorder()
         bdd = self.encoding.bdd
         for env_name, illegal in self._env_illegal:
             if bdd.and_(frontier, illegal) != FALSE:
@@ -446,10 +451,8 @@ class SymbolicContextModel:
                     f"environment effect {env_name!r} leaves a variable's domain "
                     f"or fails to evaluate at a reachable state"
                 )
-        relation = bdd.and_(self._frame, self._env_relation)
         for agent in self.agents:
             effects = self._agent_effects[agent]
-            choice = FALSE
             covered = FALSE
             for action_name, classes in selection.get(agent, {}).items():
                 if classes == FALSE:
@@ -457,19 +460,18 @@ class SymbolicContextModel:
                 entry = effects.get(action_name)
                 if entry is None:
                     raise ProgramError(f"agent {agent!r} has no action {action_name!r}")
-                effect_relation, illegal = entry
+                illegal = entry[1]
                 if illegal != FALSE and bdd.and_(bdd.and_(classes, frontier), illegal) != FALSE:
                     raise ModelError(
                         f"effect of action {action_name!r} of agent {agent!r} "
                         f"leaves a variable's domain or fails to evaluate"
                     )
-                choice = bdd.or_(choice, bdd.and_(classes, effect_relation))
                 covered = bdd.or_(covered, classes)
             if bdd.diff(frontier, covered) != FALSE:
                 raise ProgramError(
                     f"no action selected for agent {agent!r} at some frontier state"
                 )
-            relation = bdd.and_(relation, choice)
+        relation = self.joint_relation(selection)
         image = bdd.and_exists(relation, frontier, self.encoding.current_levels)
         targets = self.encoding.unprime(image)
         if bdd.diff(targets, self.domain) != FALSE:
@@ -518,9 +520,10 @@ class StateSetEncoding:
     ``domain`` is the state set itself — complements, box operators and
     empty-group conventions are automatically relative to the view's states,
     exactly as the bitset backend is relative to a structure's worlds.
-    Relations conjoin the state set on both sides of the agent's
-    observational equivalence, matching
-    :func:`repro.kripke.builders.structure_from_local_states`.
+    No relation is ever built: two states of the set are indistinguishable
+    to an agent exactly when they agree on its observable variables
+    (matching :func:`repro.kripke.builders.structure_from_local_states`),
+    so the modal images are projections (:meth:`pre_image`).
     """
 
     def __init__(self, model, states_node):
@@ -528,19 +531,7 @@ class StateSetEncoding:
         self.base = model.encoding
         self.bdd = self.base.bdd
         self.bits = self.base.total_bits
-        self.current_levels = self.base.current_levels
-        self.primed_levels = self.base.primed_levels
         self.domain = states_node
-        self.domain_primed = self.base.prime(states_node)
-        self._relations = {}
-
-    # -- current <-> primed ------------------------------------------------------------
-
-    def prime(self, node):
-        return self.base.prime(node)
-
-    def unprime(self, node):
-        return self.base.unprime(node)
 
     # -- boundary protocol (State-level conversions, lazy) -----------------------------
 
@@ -564,43 +555,34 @@ class StateSetEncoding:
     def count(self, node):
         return self.base.count(node)
 
-    # -- relations ---------------------------------------------------------------------
+    # -- modal images ------------------------------------------------------------------
 
-    def agent_relation(self, agent):
-        relation = self._relations.get(agent)
-        if relation is None:
-            # Conjoin the equality constraint *before* the primed copy of the
-            # state set: ``obs_eq ∧ S`` keeps the two variable copies
-            # correlated (near-linear in the size of ``S``), whereas
-            # ``S ∧ S'`` first would materialise an uncorrelated product of
-            # the set with itself.
-            relation = self.bdd.and_(self.model.obs_equivalence(agent), self.domain)
-            relation = self.bdd.and_(relation, self.domain_primed)
-            self._relations[agent] = relation
-        return relation
+    def pre_image(self, group, mode, node):
+        """The states of the set with some ``group``-successor in ``node``
+        (a world-set of this encoding).
 
-    def group_relation(self, group, mode):
-        key = (frozenset(group), mode)
-        relation = self._relations.get(key)
-        if relation is None:
-            members = [self.agent_relation(agent) for agent in group]
-            if mode == "union":
-                relation = FALSE
-                for member in members:
-                    relation = self.bdd.or_(relation, member)
-            elif mode == "intersection":
-                if not members:
-                    relation = self.bdd.and_(self.domain, self.domain_primed)
-                else:
-                    relation = members[0]
-                    for member in members[1:]:
-                        relation = self.bdd.and_(relation, member)
-            else:
-                from repro.util.errors import EngineError
+        ``"union"`` (E/C): ``S ∧ ⋁_a ∃h_a. node`` with ``h_a`` the variables
+        agent ``a`` does not observe.  ``"intersection"`` (D): quantify the
+        variables *no* member observes — all of them for the empty group,
+        whose relation is the full one; the empty union is the empty
+        relation."""
+        bdd = self.bdd
+        model = self.model
+        if mode == "union":
+            image = FALSE
+            for agent in group:
+                image = bdd.or_(image, model.project(agent, node))
+        elif mode == "intersection":
+            hidden = set(self.base.current_levels)
+            for agent in group:
+                hidden.intersection_update(model.non_observable_levels(agent))
+            image = bdd.exists(node, hidden)
+        else:
+            raise EngineError(f"unknown group relation mode {mode!r}")
+        return bdd.and_(self.domain, image)
 
-                raise EngineError(f"unknown group relation mode {mode!r}")
-            self._relations[key] = relation
-        return relation
+    # Indistinguishability is symmetric: the forward image is the pre-image.
+    post_image = pre_image
 
     # -- observability -----------------------------------------------------------------
 
@@ -608,9 +590,7 @@ class StateSetEncoding:
         self.bdd.clear_operation_caches()
 
     def cache_info(self):
-        info = self.base.cache_info()
-        info["memo.relations"] = len(self._relations)
-        return info
+        return self.base.cache_info()
 
 
 class SymbolicStructure:
@@ -702,14 +682,6 @@ class SymbolicStateSetView:
     def holds(self, state, formula):
         return self.evaluator.holds(state, formula)
 
-    def project(self, agent, node):
-        """Project a state-set BDD onto ``agent``'s observable variables:
-        the BDD of the agent's local-state classes meeting the set."""
-        levels = self.model.non_observable_levels(agent)
-        if not levels:
-            return node
-        return self.model.encoding.bdd.exists(node, levels)
-
     def state_count(self):
         return self.structure.state_count()
 
@@ -721,7 +693,7 @@ class SymbolicStateSetView:
         sorted ``(name, value)`` tuples the explicit path produces.
         Enumerates the agent's classes — meant for small views (tests,
         protocol materialisation), not for the construction loop."""
-        node = self.project(agent, self.states_node)
+        node = self.model.project(agent, self.states_node)
         names = self.model.observables[agent]
         return {
             tuple(sorted(assignment.items()))
@@ -772,8 +744,8 @@ class SymbolicGuardTable(GuardTable):
         view = self.view
         bdd = view.model.encoding.bdd
         extension = self._guard_extension(guard).node
-        true_classes = view.project(agent, extension)
-        false_classes = view.project(agent, bdd.diff(view.states_node, extension))
+        true_classes = view.model.project(agent, extension)
+        false_classes = view.model.project(agent, bdd.diff(view.states_node, extension))
         cached = (true_classes, false_classes)
         self._class_values[key] = cached
         return cached

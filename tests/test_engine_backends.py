@@ -640,16 +640,6 @@ class TestBackendSelection:
 
 
 class TestEmptyGroupRelations:
-    def test_empty_intersection_is_the_full_relation(self, two_agent_structure):
-        # Regression: this used to crash with IndexError on per_agent[0].
-        relation = two_agent_structure.group_relation((), mode="intersection")
-        all_worlds = frozenset(two_agent_structure.worlds)
-        assert relation == {world: all_worlds for world in two_agent_structure.worlds}
-
-    def test_empty_union_is_the_empty_relation(self, two_agent_structure):
-        relation = two_agent_structure.group_relation((), mode="union")
-        assert relation == {world: frozenset() for world in two_agent_structure.worlds}
-
     @all_backends
     def test_backends_agree_on_empty_group_operators(
         self, backend_name, two_agent_structure

@@ -7,23 +7,27 @@ implementations, including the non-stabilising cyclic program and the
 self-fulfilling one), muddy children and bit transmission.  Its operator
 semantics are checked on hand-computed structures, its reachability and
 verdicts against the constructions of every bundled spec on both
-carriers, and its vote in :func:`repro.spec.fuzz.differential_check` by
-making it dissent.
+carriers, its extensions against the observation projections of symbolic
+views of random specs, and its vote in
+:func:`repro.spec.fuzz.differential_check` by making it dissent.
 """
 
 import ast
+import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from repro import oracle
-from repro.engine import available_backends
+from repro.engine import available_backends, backend_by_name
 from repro.interpretation import (
     check_implementation,
     construct_by_rounds,
     enumerate_implementations,
 )
+from repro.interpretation.functional import liberal_protocol
+from repro.interpretation.symbolic import SymbolicSynthesisOps
 from repro.kripke import EpistemicStructure
 from repro.logic import extension, parse
 from repro.logic.formula import (
@@ -42,7 +46,7 @@ from repro.logic.formula import (
     Prop,
 )
 from repro.protocols import bit_transmission, muddy_children, variable_setting as vs
-from repro.spec.fuzz import differential_check
+from repro.spec.fuzz import differential_check, random_spec
 from repro.spec.library import bundled_spec_names, load_spec
 from repro.systems.protocols import JointProtocol, Protocol
 from repro.temporal import EX
@@ -357,6 +361,82 @@ def test_engine_extensions_over_constructed_systems_match_the_oracle(name, backe
         assert extension(system.structure, formula, backend=backend) == set(
             oracle.extension(formula, states, accessible, context.labelling)
         ), formula
+
+
+# -- observation projections of symbolic views ------------------------------------
+
+
+def _projection_battery(agents, facts):
+    """K/M of every agent, E/D/C of every non-empty group over each fact,
+    and one nesting level on top."""
+    groups = [group for size in range(1, len(agents) + 1) for group in combinations(agents, size)]
+    battery = []
+    for fact in facts:
+        for agent in agents:
+            battery += [Knows(agent, fact), Possible(agent, fact)]
+        for group in groups:
+            battery += [
+                EveryoneKnows(group, fact),
+                DistributedKnows(group, fact),
+                CommonKnows(group, fact),
+            ]
+    first, everyone = facts[0], tuple(agents)
+    for agent in agents:
+        battery += [Knows(agent, Possible(other, first)) for other in agents]
+        battery += [
+            Possible(agent, EveryoneKnows(everyone, first)),
+            Knows(agent, CommonKnows(everyone, facts[1])),
+            DistributedKnows(everyone, Knows(agent, facts[1])),
+            CommonKnows(everyone, Possible(agent, first)),
+        ]
+    return battery
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_projection_images_of_symbolic_views_match_the_oracle(seed):
+    # The "bdd" backend answers every modality on a model view by projecting
+    # onto observables; the oracle quantifies over the enumerated view with
+    # "same local state" as accessibility.  Both views of each random spec:
+    # the initial one and the liberal-reachable one.
+    spec = random_spec(random.Random(seed))
+    context = spec.variable_context()
+    model = spec.symbolic_model()
+    program = spec.program().check_against_context(model)
+    _, liberal = SymbolicSynthesisOps(program, model).represent(
+        liberal_protocol(program, model)
+    )
+    for node in (model.initial, liberal):
+        view = model.view(node)
+        states = frozenset(view.iter_states())
+
+        def accessible(agent, state):
+            local = context.local_state(agent, state)
+            return {other for other in states if context.local_state(agent, other) == local}
+
+        atoms = sorted(set().union(*map(context.labelling, states)))
+        facts = [
+            Prop(atoms[seed % len(atoms)]),
+            Or((Not(Prop(atoms[-1 - seed % len(atoms)])), Prop(atoms[0]))),
+        ]
+        battery = _projection_battery(context.agents, facts)
+        for formula, got in zip(battery, view.evaluator.extensions(battery)):
+            assert got == oracle.extension(formula, states, accessible, context.labelling), (
+                formula
+            )
+        # The empty group has no formula syntax: ask the backend directly.
+        # E and C of nobody hold everywhere; D of nobody holds everywhere
+        # exactly when the operand does.
+        backend, structure = backend_by_name("bdd"), view.structure
+        for fact in facts:
+            inner = view.evaluator.extension_ws(fact)
+            holds_everywhere = view.extension(fact) == states
+            for operator, expected in (
+                (backend.everyone_knows, states),
+                (backend.common_knows, states),
+                (backend.distributed_knows, states if holds_everywhere else frozenset()),
+            ):
+                got = backend.to_frozenset(structure, operator(structure, (), inner))
+                assert got == expected, (operator.__name__, fact)
 
 
 # -- the oracle's vote in the differential fuzz check ------------------------------

@@ -372,6 +372,33 @@ class TestDynamicReordering:
         assert not manager.reorder_pending
         assert stats["trigger"] >= 2 * 2 * k
 
+    def test_growth_triggered_sift_is_amortised(self):
+        # A growth-triggered sift may build no more nodes than the
+        # operations built since the order was last decided: with next to
+        # no work behind the request it restores the order it started
+        # from; with plenty it completes and interleaves the iff chain.
+        k = 6
+        for garbage, completes in ((0, False), (20_000, True)):
+            manager = BDD(2 * k)
+            f = manager.iff(manager.var(0), manager.var(k))
+            for i in range(1, k):
+                f = manager.and_(f, manager.iff(manager.var(i), manager.var(k + i)))
+            declared, size = manager.variable_order(), manager.size(f)
+            manager.enable_reordering(threshold=1)
+            rng = random.Random(3)
+            while manager.cache_info()["unique.nodes"] < garbage:
+                self._random_function(manager, rng)
+            for j in range(k, 2 * k):  # a few fresh nodes cross the trigger
+                manager.and_(manager.var(0), manager.nvar(j))
+            assert manager.reorder_pending
+            assert manager.maybe_reorder([f])
+            assert manager.cache_info()["reorder_stats"]["swaps"] > 0
+            if completes:
+                assert manager.size(f) <= 3 * k + 2 < size
+            else:
+                assert manager.variable_order() == declared
+                assert manager.size(f) == size
+
     def test_keep_groups_are_never_split(self):
         k = 4
         manager = BDD(2 * k)

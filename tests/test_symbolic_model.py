@@ -12,7 +12,7 @@ import pytest
 
 from repro.interpretation import StateSetView, construct_by_rounds, derive_protocol
 from repro.interpretation.functional import guard_table
-from repro.logic.formula import Prop
+from repro.logic.formula import Knows, Prop
 from repro.modeling import StateSpace, boolean, const, ite, ranged, var
 from repro.modeling.expressions import BinaryOp, Comparison
 from repro.programs import AgentProgram, Clause, KnowledgeBasedProgram
@@ -61,16 +61,18 @@ class TestSymbolicAgreesWithExplicit:
         assert symbolic_initial == set(context.initial_states)
 
     def test_agent_relations_agree(self, name, context, model, program):
+        # The accessibility relation read through the projection image: s
+        # has an agent-successor in {t} iff their local states agree.
         states = list(context.initial_states)
-        view = model.view(model.initial)
+        view_encoding = model.view(model.initial).structure.encoding
         encoding = model.encoding
         for agent in context.agents:
-            relation = view.structure.encoding.agent_relation(agent)
-            for s in states:
-                for t in states:
+            for t in states:
+                image = view_encoding.pre_image((agent,), "union", encoding.state_node(t))
+                assert view_encoding.post_image((agent,), "union", encoding.state_node(t)) == image
+                for s in states:
                     explicit = context.local_state(agent, s) == context.local_state(agent, t)
-                    symbolic = encoding.evaluate_node(relation, s, primed_state=t)
-                    assert symbolic == explicit, (agent, s, t)
+                    assert encoding.evaluate_node(image, s) == explicit, (agent, s, t)
 
     def test_guard_tables_agree(self, name, context, model, program):
         states = list(context.initial_states)
@@ -570,3 +572,22 @@ class TestPrunedStateEnumeration:
         first = expression.variables()
         assert expression.variables() is first
         assert first == frozenset({x})
+
+
+# -- unknown agents ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["explicit", "symbolic"])
+def test_unknown_agent_is_a_model_error_on_every_view(kind):
+    if kind == "explicit":
+        context = mc.context(2)
+        view = StateSetView(context, list(context.initial_states))
+    else:
+        model = mc.symbolic_model(2)
+        view = model.initial_view()
+        with pytest.raises(ModelError, match="unknown agent"):
+            model.project("zz", view.states_node)
+    with pytest.raises(ModelError, match="unknown agent"):
+        view.local_states("zz")
+    with pytest.raises(ModelError, match="unknown agent"):
+        view.extension(Knows("zz", Prop("muddy0")))
