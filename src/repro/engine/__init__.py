@@ -13,10 +13,11 @@ analysis (:mod:`repro.analysis.common_knowledge`), CTLK model checking
   :class:`repro.kripke.structure.EpistemicStructure` assigns at
   construction time;
 * :class:`~repro.symbolic.backend_bdd.SymbolicBackend` (``"bdd"``)
-  represents world-sets as ROBDDs over a ``ceil(log2 |W|)``-variable
-  encoding (:mod:`repro.symbolic`) and the epistemic operators as
-  relational products and BDD fixed points, with cost scaling in BDD size
-  rather than world count.
+  represents world-sets as ROBDDs (:mod:`repro.symbolic`) and the epistemic
+  operators as boxes and BDD fixed points over the encoding's images —
+  observation projections on symbolic model views, relational products on
+  the ``ceil(log2 |W|)``-variable encoding of an enumerated structure —
+  with cost scaling in BDD size rather than world count.
 
 The backend set is open: :func:`register_backend` registers a factory under
 a name, and every consumer of :func:`available_backends` — the equivalence

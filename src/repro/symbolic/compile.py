@@ -23,9 +23,9 @@ across variables in state-space order)::
     level 2p + 1   primed  copy of bit p
 
 The interleaving keeps every relational building block small: the equality
-``v = v'`` is a chain of adjacent level pairs (linear in ``bits(v)``, the
-per-agent observational-equivalence relations are conjunctions of such
-chains), and both renaming directions (``level ± 1`` uniformly) are
+``v = v'`` is a chain of adjacent level pairs (linear in ``bits(v)``; the
+frame of the transition relation is a conjunction of such chains), and
+both renaming directions (``level ± 1`` uniformly) are
 order-preserving, so :meth:`~repro.symbolic.bdd.BDD.rename` implements the
 current ↔ primed swap.  Codes ``>= |dom|`` of a non-power-of-two domain are
 invalid; :meth:`VariableEncoding.domain_node` is the set of valid codes and
@@ -254,8 +254,8 @@ class VariableEncoding:
         return node
 
     def equality_node(self, variable):
-        """The relation BDD ``v = v'`` — the building block of
-        observational-equivalence relations; linear in ``bits(v)`` thanks to
+        """The relation BDD ``v = v'`` — the building block of frame
+        conditions in transition relations; linear in ``bits(v)`` thanks to
         the interleaved level layout."""
         name = self._resolve_name(variable)
         cached = self._eq_memo.get(name)
