@@ -43,8 +43,8 @@ The kernel provides:
   *group sifting* built on an in-place adjacent-level swap primitive that
   preserves every node id (see below), :meth:`enable_reordering` arms a
   growth trigger on the unique table, and :meth:`maybe_reorder` runs a
-  pending reorder at a *safe point* (no kernel operation may be in flight),
-  amortised against the operations that triggered it.
+  pending reorder at a *safe point* (no kernel operation may be in flight)
+  and keeps the order it finds only if that order halves the live diagram.
 
 Everything is plain Python — no third-party dependency — so the ``"bdd"``
 world-set backend built on top of this module is always available.
@@ -63,11 +63,12 @@ high)`` triple — to test the lower variable over freshly consed children.
 Because every node keeps the boolean function it denotes, node ids held by
 clients (cached extensions, compiled relations, fixed-point iterates)
 remain valid across any number of swaps, and distinct nodes keep distinct
-functions, so rewritten unique-table keys never collide.  Dead nodes are
-rewritten along with live ones — the kernel has no garbage collector, so
-"dead" only means unreferenced, never invalid.  The *operation* caches are
-dropped after a reorder (their level-keyed entries go stale); the unique
-table itself is never cleared.
+functions, so rewritten unique-table keys never collide.  A rooted reorder
+collects the nodes its roots do not reach, and a swap frees the nodes it
+leaves unreferenced; the pass builds its fresh nodes in those freed slots,
+so the node arrays (which never shrink) only grow once none is left.  The
+*operation* caches are dropped after a reorder (their level-keyed entries
+go stale); the unique table itself is never cleared.
 
 Sifting measures diagram size over the nodes *live from a caller-supplied
 root set* (tracked incrementally with reference counts during swaps).
@@ -152,8 +153,7 @@ class BDD:
         "_reorder_count",
         "_swap_count",
         "_last_reorder",
-        "_decided_at",
-        "_sift_limit",
+        "_free",
         "_live_ref",
         "_live_size",
         "_budget",
@@ -197,11 +197,9 @@ class BDD:
         self._reorder_count = 0
         self._swap_count = 0
         self._last_reorder = None
-        # The node-array length when the order was last decided (arming or
-        # a reorder), and the length at which a running growth-triggered
-        # sift has spent its allowance (None: explicit, unlimited reorder).
-        self._decided_at = len(self._var)
-        self._sift_limit = None
+        # The slots of nodes that died during the running reorder, which
+        # its swaps build their fresh nodes in (None outside a reorder).
+        self._free = None
         self._live_ref = None
         self._live_size = 0
         # Armed by repro.resilience (directly or via the registry hook that
@@ -255,14 +253,23 @@ class BDD:
             )
         key = (var, low, high)
         found = self._unique.get(key)
-        if found is None:
+        if found is None and self._free:
+            # A sift recycles the slots of the nodes it frees, so its
+            # transients never outgrow the diagram it is rewriting.
+            found = self._free.pop()
+            self._var[found] = var
+            self._low[found] = low
+            self._high[found] = high
+            self._unique[key] = found
+            self._var_nodes[var].add(found)
+        elif found is None:
             found = len(self._var)
             self._var.append(var)
             self._low.append(low)
             self._high.append(high)
             self._unique[key] = found
             if self._var_nodes is not None:
-                self._var_nodes[var].append(found)
+                self._var_nodes[var].add(found)
             if (
                 self._auto_trigger is not None
                 and found >= self._auto_trigger
@@ -658,7 +665,8 @@ class BDD:
         reorder; the request is only a flag (:attr:`reorder_pending`), the
         sift itself runs when a client calls :meth:`maybe_reorder` at a safe
         point.  The trigger re-arms at ``max(threshold, 2 * table)`` after
-        every reorder.
+        every reorder, except a growth-triggered pass that restored its
+        start order (see :meth:`maybe_reorder`).
         """
         if threshold is not None:
             if threshold < 1:
@@ -668,7 +676,6 @@ class BDD:
             self._set_groups(groups)
         self._reorder_enabled = True
         self._auto_trigger = max(self._reorder_threshold, len(self._var) + 1)
-        self._decided_at = len(self._var)
 
     def disable_reordering(self):
         """Disarm the growth trigger (a pending request is dropped)."""
@@ -753,18 +760,20 @@ class BDD:
         from within a recursion, because a swap rewrites nodes that in-flight
         operations may hold in local variables.
 
-        A growth-triggered sift is amortised: it may build at most as many
-        nodes as the operations built since the order was last decided.  A
-        pass that spends that allowance before it finishes restores the
-        order it started from — an unfinished pass was never judged as a
-        whole, and the partial order it leaves behind, tuned to the
-        diagrams held at this safe point, can be far worse for the ones
-        still to come.  A sift therefore never costs more than the work it
-        is meant to speed up, and only a completed pass changes the order.
+        A growth-triggered pass keeps the order it found only if that order
+        at least halves the live diagram; otherwise it restores the order it
+        started from and drops the growth trigger, so an order that sifting
+        cannot improve costs one pass, not one per doubling.  The pass minimises the diagrams held at this one safe
+        point, and the order it picks is a bet that later ones look alike: a
+        starting order that is structurally wrong (all of a ring's ``say``
+        bits above the coins they depend on) loses several-fold, while a
+        gain of a fifth on an order that is already good (the declared
+        muddy-children order) is tuned to this round's diagrams and can
+        make the next rounds' several times larger.
         """
         if not self._reorder_pending or not self._reorder_enabled or self._in_reorder:
             return False
-        self._reorder(roots, len(self._var) - self._decided_at)
+        self._reorder(roots, halving=True)
         return True
 
     def reorder(self, roots=None):
@@ -791,11 +800,12 @@ class BDD:
         entries are stale); ``ite`` results would remain valid but are
         dropped too for uniformity.
         """
-        return self._reorder(roots, None)
+        return self._reorder(roots, halving=False)
 
-    def _reorder(self, roots, allowance):
-        """:meth:`reorder`, with the pass limited to building ``allowance``
-        nodes (``None``: unlimited) — see :meth:`maybe_reorder`."""
+    def _reorder(self, roots, halving):
+        """:meth:`reorder`; with ``halving`` the start order comes back
+        unless the pass at least halved the live diagram (see
+        :meth:`maybe_reorder`)."""
         if self._in_reorder:
             raise EngineError("reorder() re-entered — not a safe point")
         if self._group_order is None:
@@ -803,6 +813,7 @@ class BDD:
                 (self._level2var[level],) for level in range(self.num_vars)
             ]
         before = None
+        settled = False
         swaps_before = self._swap_count
         sift_span = _obs.span("bdd.reorder")
         sift_span.__enter__()
@@ -811,23 +822,25 @@ class BDD:
             if roots is not None:
                 # Garbage-collect: only reachable nodes keep unique entries
                 # (and with them the ability to be returned by ``_node`` or
-                # rewritten by swaps).  Zombie slots stay in the arrays but
-                # are invalid.
-                purged = 0
+                # rewritten by swaps).  Their slots are invalid; this pass
+                # builds its fresh nodes in them.
+                free = []
                 for key, u in list(self._unique.items()):
                     if u not in live_ref:
                         del self._unique[key]
-                        purged += 1
+                        free.append(u)
+                purged = len(free)
+                self._free = free
                 self._gc_passes += 1
                 self._gc_purged += purged
                 if _obs.ENABLED:
                     _obs.event("bdd.gc", purged=purged, live=live_size)
             self._build_var_index()
+            if self._free is None:
+                self._free = []
             before = live_size
             self._live_ref = live_ref
             self._live_size = live_size
-            if allowance is not None:
-                self._sift_limit = len(self._var) + allowance
             self._in_reorder = True
             try:
                 var_group = {}
@@ -843,12 +856,13 @@ class BDD:
                 for group in sorted(
                     self._group_order, key=lambda g: sizes.get(g, 0), reverse=True
                 ):
-                    if sizes.get(group, 0) == 0 or self._allowance_spent():
+                    if sizes.get(group, 0) == 0:
                         continue
                     self._sift_group(group)
-                if self._allowance_spent():
+                if halving and 2 * self._live_size > before:
                     for index, group in enumerate(start_order):
                         self._move_group(self._group_order.index(group), index)
+                    settled = True
             except BaseException:
                 # An interruption (cancellation, injected fault, kernel
                 # error) between elementary swaps can leave a keep-group
@@ -862,7 +876,7 @@ class BDD:
             self._in_reorder = False
             self._live_ref = None
             self._var_nodes = None
-            self._sift_limit = None
+            self._free = None
             # The operation caches' level-keyed entries are stale the moment
             # any level moved (and, after a GC, may reference purged nodes),
             # so they are dropped on *every* exit path; likewise a pending
@@ -870,8 +884,9 @@ class BDD:
             # point would immediately re-enter it.
             self.clear_operation_caches()
             self._reorder_pending = False
-            self._decided_at = len(self._var)
-            if self._reorder_enabled:
+            if settled:
+                self._auto_trigger = None
+            elif self._reorder_enabled:
                 self._auto_trigger = max(self._reorder_threshold, 2 * len(self._var))
             sift_span.__exit__(None, None, None)
         after = self._live_size
@@ -886,9 +901,6 @@ class BDD:
                 trigger=self._auto_trigger,
             )
         return before, after
-
-    def _allowance_spent(self):
-        return self._sift_limit is not None and len(self._var) >= self._sift_limit
 
     def _repair_group_adjacency(self):
         """Recover keep-group adjacency after an interrupted sift.
@@ -931,13 +943,13 @@ class BDD:
         self._group_order = order
 
     def _build_var_index(self):
-        """Per-variable lists of the *live* nodes (exactly the unique-table
+        """Per-variable sets of the *live* nodes (exactly the unique-table
         entries — dead nodes were just purged from it), the work-lists the
         swap primitive processes.  Rebuilt at every reorder, dropped after."""
-        index = [[] for _ in range(self.num_vars)]
+        index = [set() for _ in range(self.num_vars)]
         var_ = self._var
         for u in self._unique.values():
-            index[var_[u]].append(u)
+            index[var_[u]].add(u)
         self._var_nodes = index
 
     def _trace_live(self, roots):
@@ -982,9 +994,9 @@ class BDD:
 
     def _live_decref(self, u):
         """Drop one reference; a node dying (count reaching zero) releases
-        its children and is *purged* — its unique entry goes away, so it can
-        neither be returned by ``_node`` again nor rewritten by later swaps
-        (its frozen triple may become mis-ordered as levels keep moving)."""
+        its children and is *purged* — its unique entry and work-list entry
+        go away, so it can neither be returned by ``_node`` nor rewritten by
+        later swaps, and its slot is free for the next fresh node."""
         if u <= TRUE:
             return
         count = self._live_ref[u] - 1
@@ -994,6 +1006,8 @@ class BDD:
             key = (self._var[u], self._low[u], self._high[u])
             if self._unique.get(key) == u:
                 del self._unique[key]
+                self._var_nodes[key[0]].discard(u)
+                self._free.append(u)
             self._live_decref(self._low[u])
             self._live_decref(self._high[u])
 
@@ -1005,9 +1019,10 @@ class BDD:
         place — keeping their id, hence their function — to test the lower
         variable over (possibly fresh) children testing the upper one.
         Distinct functions stay distinct, so the rewritten unique-table keys
-        never collide.  Dead nodes (purged by :meth:`_live_decref`) are
-        skipped entirely: reference counts are exact over the live diagram,
-        so nothing reachable ever points at a skipped node.
+        never collide.  The work-lists hold exactly the live nodes: a node
+        leaves them when it dies (see :meth:`_live_decref`); reference
+        counts are exact over the live diagram, so nothing reachable ever
+        points at a dead node.
         """
         if _faults.ARMED:
             # Chaos hook: an injected raise lands here, *between* swaps —
@@ -1018,18 +1033,13 @@ class BDD:
         lower = l2v[level + 1]
         var_, low_, high_ = self._var, self._low, self._high
         unique = self._unique
-        live_ref = self._live_ref
         old_nodes = self._var_nodes[upper]
-        keep = self._var_nodes[upper] = []
+        keep = self._var_nodes[upper] = set()
         moved = self._var_nodes[lower]
         l2v[level], l2v[level + 1] = lower, upper
         self._var2level[upper] = level + 1
         self._var2level[lower] = level
         for u in old_nodes:
-            if live_ref.get(u, 0) == 0:
-                # Died since it was listed (a transient of an earlier swap,
-                # already purged from the unique table) — drop it.
-                continue
             f0 = low_[u]
             f1 = high_[u]
             t0 = var_[f0] == lower
@@ -1037,7 +1047,7 @@ class BDD:
             if not (t0 or t1):
                 # Independent of the lower variable: the node keeps testing
                 # the upper one, one level further down.
-                keep.append(u)
+                keep.add(u)
                 continue
             del unique[(upper, f0, f1)]
             if t0:
@@ -1054,7 +1064,7 @@ class BDD:
             low_[u] = g0
             high_[u] = g1
             unique[(lower, g0, g1)] = u
-            moved.append(u)
+            moved.add(u)
             # Incref the new children before releasing the old ones so a
             # shared node never transiently dies (death purges it).
             self._live_incref(g0)
@@ -1100,11 +1110,7 @@ class BDD:
         ends = (last, 0) if last - start <= start else (0, last)
         for end in ends:
             step = 1 if end > position else -1
-            while (
-                position != end
-                and self._live_size <= max_size
-                and not self._allowance_spent()
-            ):
+            while position != end and self._live_size <= max_size:
                 if step == 1:
                     self._swap_adjacent_groups(position)
                     position += 1

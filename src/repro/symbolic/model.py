@@ -445,6 +445,7 @@ class SymbolicContextModel:
         :class:`ModelError`, mirroring the explicit transition function.
         """
         bdd = self.encoding.bdd
+        relation = self.joint_relation(selection)  # rejects unknown actions
         for env_name, illegal in self._env_illegal:
             if bdd.and_(frontier, illegal) != FALSE:
                 raise ModelError(
@@ -457,10 +458,7 @@ class SymbolicContextModel:
             for action_name, classes in selection.get(agent, {}).items():
                 if classes == FALSE:
                     continue
-                entry = effects.get(action_name)
-                if entry is None:
-                    raise ProgramError(f"agent {agent!r} has no action {action_name!r}")
-                illegal = entry[1]
+                illegal = effects[action_name][1]
                 if illegal != FALSE and bdd.and_(bdd.and_(classes, frontier), illegal) != FALSE:
                     raise ModelError(
                         f"effect of action {action_name!r} of agent {agent!r} "
@@ -471,7 +469,6 @@ class SymbolicContextModel:
                 raise ProgramError(
                     f"no action selected for agent {agent!r} at some frontier state"
                 )
-        relation = self.joint_relation(selection)
         image = bdd.and_exists(relation, frontier, self.encoding.current_levels)
         targets = self.encoding.unprime(image)
         if bdd.diff(targets, self.domain) != FALSE:

@@ -41,6 +41,7 @@ from repro.protocols import muddy_children as mc
 from repro.protocols import variable_setting as vs
 from repro.resilience.faults import FaultInjector, check_kernel_invariants
 from repro.symbolic import BDD
+from repro.symbolic.bdd import TRUE
 from repro.symbolic.model import SymbolicContextModel
 from repro.temporal import AF, AG, AU, AX, EF, EG, EU, EX
 from repro.temporal.ctlk import CTLKModelChecker, check_reachable, check_valid
@@ -372,32 +373,59 @@ class TestDynamicReordering:
         assert not manager.reorder_pending
         assert stats["trigger"] >= 2 * 2 * k
 
-    def test_growth_triggered_sift_is_amortised(self):
-        # A growth-triggered sift may build no more nodes than the
-        # operations built since the order was last decided: with next to
-        # no work behind the request it restores the order it started
-        # from; with plenty it completes and interleaves the iff chain.
+    def _iff_chain(self, manager, k, interleaved):
+        pair = (lambda i: (2 * i, 2 * i + 1)) if interleaved else (lambda i: (i, k + i))
+        f = TRUE
+        for i in range(k):
+            a, b = pair(i)
+            f = manager.and_(f, manager.iff(manager.var(a), manager.var(b)))
+        return f
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_growth_triggered_sift_keeps_only_a_halving_order(self, interleaved):
+        # Under the blocked order the iff chain is exponential and one pass
+        # interleaves it: the order is kept and the trigger re-arms.  Under
+        # the interleaved order it is already linear, so no pass can halve
+        # it: the start order comes back and the trigger is dropped.
         k = 6
-        for garbage, completes in ((0, False), (20_000, True)):
-            manager = BDD(2 * k)
-            f = manager.iff(manager.var(0), manager.var(k))
-            for i in range(1, k):
-                f = manager.and_(f, manager.iff(manager.var(i), manager.var(k + i)))
-            declared, size = manager.variable_order(), manager.size(f)
-            manager.enable_reordering(threshold=1)
-            rng = random.Random(3)
-            while manager.cache_info()["unique.nodes"] < garbage:
-                self._random_function(manager, rng)
-            for j in range(k, 2 * k):  # a few fresh nodes cross the trigger
-                manager.and_(manager.var(0), manager.nvar(j))
-            assert manager.reorder_pending
-            assert manager.maybe_reorder([f])
-            assert manager.cache_info()["reorder_stats"]["swaps"] > 0
-            if completes:
-                assert manager.size(f) <= 3 * k + 2 < size
-            else:
-                assert manager.variable_order() == declared
-                assert manager.size(f) == size
+        manager = BDD(2 * k)
+        f = self._iff_chain(manager, k, interleaved)
+        declared, size = manager.variable_order(), manager.size(f)
+        manager.enable_reordering(threshold=1)
+        for j in range(1, 2 * k):  # a few fresh nodes cross the trigger
+            manager.and_(manager.var(0), manager.nvar(j))
+        assert manager.reorder_pending
+        assert manager.maybe_reorder([f])
+        stats = manager.cache_info()["reorder_stats"]
+        assert stats["swaps"] > 0
+        if interleaved:
+            assert manager.variable_order() == declared
+            assert manager.size(f) == size
+            assert stats["trigger"] is None
+            self._iff_chain(manager, k, interleaved=False)
+            assert not manager.reorder_pending
+        else:
+            assert 2 * manager.size(f) <= size
+            assert stats["trigger"] is not None
+        # An explicit reorder keeps whatever the pass found.
+        manager.reorder([f])
+        assert manager.size(f) <= 3 * k + 2
+
+    def test_sift_builds_its_nodes_in_the_slots_it_frees(self):
+        # The collected garbage outnumbers the pass's transients, so the
+        # node arrays do not grow at all while the order changes.
+        k = 6
+        manager = BDD(2 * k)
+        f = self._iff_chain(manager, k, interleaved=False)
+        rng = random.Random(3)
+        while manager.cache_info()["unique.nodes"] < 20_000:
+            self._random_function(manager, rng)
+        slots = manager.cache_info()["unique.nodes"]
+        manager.reorder([f])
+        assert manager.cache_info()["reorder_stats"]["swaps"] > 0
+        assert manager.size(f) <= 3 * k + 2
+        assert manager.cache_info()["unique.nodes"] == slots
+        assert manager.sat_count(f) == 2 ** k
 
     def test_keep_groups_are_never_split(self):
         k = 4

@@ -25,7 +25,7 @@ from repro.symbolic.model import (
     SymbolicGuardTable,
     compile_context,
 )
-from repro.util.errors import ModelError
+from repro.util.errors import ModelError, ProgramError
 
 
 def small_space():
@@ -591,3 +591,14 @@ def test_unknown_agent_is_a_model_error_on_every_view(kind):
         view.local_states("zz")
     with pytest.raises(ModelError, match="unknown agent"):
         view.extension(Knows("zz", Prop("muddy0")))
+
+
+def test_unknown_action_is_a_program_error_in_both_transition_builders():
+    model = mc.symbolic_model(2)
+    selection = {model.agents[0]: {"zap": model.domain}}
+    for build in (
+        lambda: model.joint_relation(selection),
+        lambda: model.successors(model.initial, selection),
+    ):
+        with pytest.raises(ProgramError, match="has no action 'zap'"):
+            build()
